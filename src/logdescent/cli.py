@@ -134,9 +134,11 @@ def _normalize(group, D: LogDivisor) -> LogDivisor:
     return N if group.equal(D, N) else D
 
 
-def _emit(args, obj, text: str) -> None:
+def _emit(args, objs: list, text: str) -> None:
+    """Write text, or the objects one JSON line each, to stdout or --out."""
     if args.format == "json":
-        out = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+        out = "".join(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+                      for obj in objs)
     else:
         out = text if text.endswith("\n") else text + "\n"
     if args.out:
@@ -194,7 +196,7 @@ def cmd_classify(args) -> int:
     lines.append(f"S2 = {[p.label() for p in ctx.S2]}")
     lines.append("hypotheses: " + ("satisfied" if not ctx.failures
                                    else "; ".join(ctx.failures)))
-    _emit(args, obj, "\n".join(lines))
+    _emit(args, [obj], "\n".join(lines))
     return 0
 
 
@@ -220,7 +222,7 @@ def cmd_selmer(args) -> int:
              f"Selmer basis: {obj['selmer_basis']}",
              f"dim Sel^phi = {dims['sel_phi']}, dim Sel^phihat = {dims['sel_phihat']}"
              + (f", dim Sel^p = {selp}" if selp is not None else "")]
-    _emit(args, obj, "\n".join(lines))
+    _emit(args, [obj], "\n".join(lines))
     return 0
 
 
@@ -239,7 +241,7 @@ def cmd_pairing(args) -> int:
            "group_divisors": G.coker.divisors}
     lines = [f"<Q,R>^log = {_pretty_divisor(D)}",
              f"class in logPic: {coords} on cyclic factors {G.coker.divisors}"]
-    _emit(args, obj, "\n".join(lines))
+    _emit(args, [obj], "\n".join(lines))
     return 0
 
 
@@ -260,7 +262,7 @@ def cmd_psi(args) -> int:
                      f"{_pretty_divisor(D)}  [vector {vec}]")
     obj = {"schema": SCHEMA, "S1": [p.label() for p in ctx.S1],
            "logpic_torsion_dim": T.dim, "values": values}
-    _emit(args, obj, "\n".join(lines))
+    _emit(args, [obj], "\n".join(lines))
     return 0
 
 
@@ -278,17 +280,9 @@ def cmd_search(args) -> int:
                      "y": format_element(Q.y), "psi": _divisor_json(D)})
         lines.append(f"D={F.disc}  Q=({format_element(Q.x)}, {format_element(Q.y)})"
                      f"  psi = {_pretty_divisor(D)}")
-    if args.format == "json":
-        # one object per line, streamed in deterministic search order
-        text = "".join(json.dumps({"schema": SCHEMA, **r}, sort_keys=True,
-                                  separators=(",", ":")) + "\n" for r in rows)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return 0
-    _emit(args, None, "\n".join(lines) if lines else "no points found")
+    # JSON: one object per line, in deterministic search order
+    _emit(args, [{"schema": SCHEMA, **r} for r in rows],
+          "\n".join(lines) if lines else "no points found")
     return 0
 
 
@@ -322,7 +316,7 @@ def cmd_report(args) -> int:
              f"dim coker(psi_sel) = {rep.coker_psi_sel_dim}",
              f"dim Sha[phi] (assuming the points generate): "
              f"{rep.sha_phi.lower} <= dim <= {rep.sha_phi.upper}"]
-    _emit(args, obj, "\n".join(lines))
+    _emit(args, [obj], "\n".join(lines))
     return 0
 
 

@@ -14,17 +14,17 @@ from fractions import Fraction
 
 import sympy
 
-from .ellcurve import Curve, Point, curve_from_rational
+from .ellcurve import Curve, Point
 from .ideals import (FieldSelmerBasis, class_group, field_selmer_basis,
                      s_class_group)
 from .isogeny import (PlaceClassification, classify_place, dual_isogeny,
-                      isogeny_from_kernel_point, tate)
+                      isogeny_from_kernel_point)
 from .linalg import fp_kernel, fp_rank, fp_solve
 from .localfield import LocalUnitGroup
 from .logpic import LogDivisor, LogPicTorsion
 from .pairing import log_pairing
 from .qfield import (FieldElement, PrimeIdeal, QuadField, ResidueField,
-                     make_field, prime_divisors, primes_above)
+                     _squarefree_part, make_field, prime_divisors, primes_above)
 
 
 class HypothesisError(Exception):
@@ -37,8 +37,10 @@ class DescentContext:
     def __init__(self, Eprime: Curve, P: Point, p: int):
         if p == 2 or not sympy.isprime(p):
             raise ValueError("p must be an odd prime")
-        assert P.curve == Eprime and not P.is_zero()
-        assert (p * P).is_zero() and not P.is_zero()
+        if P.curve != Eprime:
+            raise ValueError("P is not a point of E'")
+        if P.is_zero() or not (p * P).is_zero():
+            raise ValueError("P is not a p-torsion point")
         self.field: QuadField = Eprime.field
         self.Eprime = Eprime
         self.P = P
@@ -117,6 +119,7 @@ class H1Coordinates:
         self.gens = basis.gens
         self.rows: list[list[int]] = []
         self.places: list[PrimeIdeal] = []
+        self.residue_fields: list[ResidueField] = []
         self._build()
 
     def _build(self):
@@ -125,8 +128,10 @@ class H1Coordinates:
         for w in self._candidates():
             if any(w.val(g) != 0 for g in self.gens):
                 continue
+            k = ResidueField(w)
             self.places.append(w)
-            self.rows.append([self._char(w, g) for g in self.gens])
+            self.residue_fields.append(k)
+            self.rows.append([k.mu_p_log(g, p) for g in self.gens])
             if self.gens and fp_rank(self.rows, p) == len(self.gens):
                 extra += 1
                 if extra > self.EXTRA:
@@ -144,40 +149,15 @@ class H1Coordinates:
                 if (ell ** w.f - 1) % self.p == 0:
                     yield w
 
-    def _char(self, w: PrimeIdeal, x: FieldElement) -> int:
-        p = self.p
-        k = ResidueField(w)
-        z = k.pow(k.reduce(x), (k.q - 1) // p)
-        zeta = self._zeta(w, k)
-        acc = k.one()
-        for j in range(p):
-            if acc == z:
-                return j
-            acc = k.mul(acc, zeta)
-        raise RuntimeError("value not in mu_p of the residue field")
-
-    def _zeta(self, w, k):
-        if not hasattr(self, "_zetas"):
-            self._zetas = {}
-        if w not in self._zetas:
-            for g in k.elements():
-                if k.is_zero(g):
-                    continue
-                z = k.pow(g, (k.q - 1) // self.p)
-                if z != k.one():
-                    self._zetas[w] = z
-                    break
-        return self._zetas[w]
-
     def coords(self, x: FieldElement) -> list[int]:
         """Solve x = prod gens^e mod p-th powers; error if x not in the span."""
         rows = []
         vals = []
-        for w, row in zip(self.places, self.rows):
+        for w, k, row in zip(self.places, self.residue_fields, self.rows):
             if w.val(x) != 0:
                 continue
             rows.append(row)
-            vals.append(self._char(w, x))
+            vals.append(k.mu_p_log(x, self.p))
         if self.gens and fp_rank(rows, self.p) < len(self.gens):
             raise RuntimeError("too few usable characters for this element")
         sol = fp_solve(rows, vals, self.p)
@@ -206,13 +186,7 @@ class SelmerGroup:
         return self.h1.dim
 
     def basis_elements(self) -> list[FieldElement]:
-        out = []
-        for vec in self.kernel:
-            x = self.ctx.field(1)
-            for e, g in zip(vec, self.h1.gens):
-                x = x * g ** e
-            out.append(x)
-        return out
+        return [self.h1.element(vec) for vec in self.kernel]
 
 
 def local_unit_coords(lug: LocalUnitGroup, x: FieldElement) -> tuple[int, ...]:
@@ -297,7 +271,6 @@ def _line(V: Point, W: Point, X: Point) -> FieldElement:
 def miller(P: Point, p: int, X: Point) -> FieldElement:
     """Value at X of the function with divisor p(P) - p(O), built by the
     additive chain f_{m+1} = f_m * line(V, P) / vertical(V + P)."""
-    assert (p * P).is_zero
     f = P.curve.field(1)
     V = P
     for _ in range(p - 1):
@@ -311,7 +284,8 @@ def miller(P: Point, p: int, X: Point) -> FieldElement:
             if not den:
                 raise ZeroDivisionError("X hits the support of a vertical")
             f = f / den
-    assert V.is_zero()
+    if not V.is_zero():
+        raise ValueError("P is not a p-torsion point")
     return f
 
 
@@ -380,10 +354,7 @@ class KummerMap:
         return self.coords_solver.coords(self.representative(Q))
 
     def element(self, coords) -> FieldElement:
-        x = self.ctx.field(1)
-        for e, g in zip(coords, self.h1.gens):
-            x = x * g ** e
-        return x
+        return self.h1.element(coords)
 
 
 # -- psi and its factorization ---------------------------------------------
@@ -488,25 +459,6 @@ def descent_report(ctx: DescentContext, points: list[Point],
 # -- the quadratic point search ---------------------------------------------
 
 
-def _squarefree_split(r: Fraction) -> tuple[int, Fraction]:
-    """r = d * s^2 with d a squarefree integer."""
-    d, s2 = 1, Fraction(1)
-    for ell, e in sympy.factorint(r.numerator).items():
-        if ell == -1:
-            d = -d
-            continue
-        if e % 2:
-            d *= ell
-        s2 *= Fraction(ell) ** (e - e % 2)
-    for ell, e in sympy.factorint(r.denominator).items():
-        if e % 2:
-            d *= ell
-            s2 /= Fraction(ell) ** (e + 1)
-        else:
-            s2 /= Fraction(ell) ** e
-    return d, s2
-
-
 def quadratic_point_search(Eprime, P, p: int, xbound: int):
     """Points of infinite order on E' over quadratic fields with bounded
     x-coordinate and the resulting psi values.
@@ -527,7 +479,7 @@ def quadratic_point_search(Eprime, P, p: int, xbound: int):
             delta = (Eprime.a1 * x + Eprime.a3) ** 2 + rhs
             if not delta:
                 continue
-            d, s2 = _squarefree_split(delta.a)
+            d, s = _squarefree_part(delta.a)
             if d == 1:
                 continue  # rational point, not a quadratic one
             if d not in ctx_cache:
@@ -536,24 +488,13 @@ def quadratic_point_search(Eprime, P, p: int, xbound: int):
                 PK = EK.point(K(P.x.a), K(P.y.a))
                 ctx_cache[d] = (K, DescentContext(EK, PK, p))
             K, ctx = ctx_cache[d]
-            sq = _sqrt_in(K, d, s2)
-            y = (sq - K(Eprime.a1.a) * K(fr) - K(Eprime.a3.a)) / 2
+            # sqrt(delta) = s * sqrt(d), and sqrt(d) generates K
+            y = (s * K.sqrt_gen() - K(Eprime.a1.a) * K(fr) - K(Eprime.a3.a)) / 2
             Q = ctx.Eprime.point(K(fr), y)
             if _is_torsion(Q, 12 * p):
                 continue
             results.append((K, Q, psi(ctx, Q)))
     return results
-
-
-def _sqrt_in(K: QuadField, d: int, s2: Fraction) -> FieldElement:
-    """sqrt(d * s2) inside K = Q(sqrt(d)), for s2 a rational square."""
-    from math import isqrt
-
-    s = Fraction(isqrt(s2.numerator), isqrt(s2.denominator))
-    assert s * s == s2
-    root_d = K(0, 1)
-    assert root_d * root_d == K(d)
-    return s * root_d
 
 
 def _is_torsion(Q: Point, bound: int) -> bool:

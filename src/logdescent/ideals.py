@@ -41,7 +41,6 @@ class LatticeIdeal:
 
     @classmethod
     def from_elements(cls, field: QuadField, gens: list[FieldElement]) -> "LatticeIdeal":
-        tr, nm = field.omega_trace, field.omega_norm
         coords = []
         dens = []
         for g in gens:
@@ -51,7 +50,6 @@ class LatticeIdeal:
                 dens.append(math.lcm(A.denominator, B.denominator))
         den = math.lcm(*dens) if dens else 1
         rows = [[int(A * den), int(B * den)] for A, B in coords]
-        _ = (tr, nm)
         return cls(field, rows, den)
 
     @classmethod
@@ -145,16 +143,6 @@ class LatticeIdeal:
         if found is None:
             return False, None
         return True, found
-
-    def contains(self, x: FieldElement) -> bool:
-        A, B = x.omega_coords()
-        # solve (u, v) * rows = den * (A, B) over Z
-        a, b0 = self.rows[0]
-        c, d0 = self.rows[1]
-        det = a * d0 - b0 * c
-        u = (A * d0 - B * c) * self.den
-        v = (B * a - A * b0) * self.den
-        return u % det == 0 and v % det == 0
 
 
 def _form_of_ideal(I: LatticeIdeal) -> tuple[int, int, int, FieldElement, FieldElement]:
@@ -305,9 +293,6 @@ class FracIdeal:
     def __pow__(self, n: int) -> "FracIdeal":
         return FracIdeal(self.field, {p: n * e for p, e in self.powers.items()})
 
-    def is_trivial(self) -> bool:
-        return not self.powers
-
     def norm(self) -> Fraction:
         n = Fraction(1)
         for p, e in self.powers.items():
@@ -394,9 +379,6 @@ class Cokernel:
     def nontrivial_indices(self) -> list[int]:
         return [i for i, d in enumerate(self.divisors) if d != 1]
 
-    def generator_vector(self, i: int) -> list[int]:
-        return [self.Uinv[j][i] for j in range(self.ngens)]
-
     def all_elements(self):
         """Exponent coordinate tuples of every element (finite groups only)."""
         idx = self.nontrivial_indices()
@@ -431,6 +413,9 @@ class Cokernel:
 
     def mod_p_dim(self, p: int) -> int:
         return sum(1 for d in self.divisors if d == 0 or d % p == 0)
+
+    def p_torsion_dim(self, p: int) -> int:
+        return sum(1 for d in self.divisors if d and d % p == 0)
 
 
 def _int_matrix_inverse(U: list[list[int]]) -> list[list[int]]:
@@ -476,10 +461,6 @@ class ClassGroup:
 
     def identity(self) -> tuple[int, ...]:
         return tuple([0] * self.coker.ngens)
-
-    def generator_ideal(self, i: int) -> LatticeIdeal:
-        vec = self.coker.generator_vector(i)
-        return self._ideal_from_fb_vector(vec)
 
     def _ideal_from_fb_vector(self, vec: list[int]) -> LatticeIdeal:
         I = LatticeIdeal.unit_ideal(self.field)
@@ -531,9 +512,6 @@ class ClassGroup:
 
     def mod_p_dim(self, p: int) -> int:
         return self.coker.mod_p_dim(p)
-
-    def p_torsion_dim(self, p: int) -> int:
-        return sum(1 for d in self.coker.divisors if d and d % p == 0)
 
 
 _CLASS_GROUP_CACHE: dict[int, ClassGroup] = {}
@@ -673,6 +651,13 @@ class FieldSelmerBasis:
     def dim(self) -> int:
         return len(self.unit_gens) + len(self.class_gens)
 
+    def element(self, vec) -> FieldElement:
+        """The product of the generators raised to the exponents in vec."""
+        x = self.field(1)
+        for e, g in zip(vec, self.gens):
+            x = x * g ** e
+        return x
+
 
 def s_class_group(cg: ClassGroup, S: list[PrimeIdeal]) -> Cokernel:
     """Cl(O_{K,S}) presented on the class group's generators."""
@@ -761,16 +746,8 @@ def field_selmer_basis(field: QuadField, S: list[PrimeIdeal], p: int) -> FieldSe
         assert ok and gen is not None
         unit_gens.append(gen)
     class_gens: list[FieldElement] = []
-    quot = s_class_group(cg, S)
-    for coords in quot.p_torsion_coords(p):
-        Ic_vec = quot.element_vector(list(coords))  # coker coordinates of I_c
-        tp = tuple(
-            (p * Ic_vec[i]) % d if (d := cg.coker.divisors[i]) else p * Ic_vec[i]
-            for i in range(cg.coker.ngens)
-        )
-        a = _solve_s_combination(cg, S, [-c for c in tp])
-        I = FracIdeal(field, {pr: av for pr, av in zip(S, a)})
-        gvec = cg.coker.element_vector(Ic_vec)
+    for gvec, a in s_class_torsion_lifts(cg, S, p):
+        I = FracIdeal(field, dict(zip(S, a)))
         Ic = cg._ideal_from_fb_vector(gvec)
         J = Ic ** p * I.numerator_lattice() * I.denominator_lattice().conjugate()
         ok, gen = J.is_principal()
@@ -778,6 +755,17 @@ def field_selmer_basis(field: QuadField, S: list[PrimeIdeal], p: int) -> FieldSe
         gen = gen / I.denominator_lattice().norm()
         class_gens.append(gen)
     return FieldSelmerBasis(field, S, p, unit_gens, class_gens)
+
+
+def s_class_torsion_lifts(cg: ClassGroup, S: list[PrimeIdeal], p: int):
+    """For each basis vector c of Cl(O_{K,S})[p], yields the factor-base
+    vector of an ideal I_c in the class c and S-exponents a such that
+    I_c^p * prod over S of v^(a_v) is principal."""
+    quot = s_class_group(cg, S)
+    for coords in quot.p_torsion_coords(p):
+        Ic_vec = quot.element_vector(list(coords))  # coker coordinates of I_c
+        a = _solve_s_combination(cg, S, [-p * c for c in Ic_vec])
+        yield cg.coker.element_vector(Ic_vec), a
 
 
 def _solve_s_combination(cg: ClassGroup, S: list[PrimeIdeal], target) -> list[int]:

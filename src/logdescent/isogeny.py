@@ -40,9 +40,6 @@ class Isogeny:
             z2 = z2 * self.iso[0] ** 2
         return z2
 
-    def x_map(self, x: FieldElement) -> FieldElement:
-        return self.Nx(x) / self.Dx(x)
-
     def __call__(self, P: Point) -> Point:
         E2 = self.velu_codomain
         if P.is_zero() or not self.Dx(P.x):

@@ -25,24 +25,10 @@ class LocalUnitGroup:
         self.vp = pr.val(pr.field(p))
         if self.vp == 0:
             self.dim = 1 if (self.q - 1) % p == 0 else 0
-            if self.dim:
-                self._zeta = self._residue_zeta()
         elif pr.e < p - 1:
             self.dim = pr.e * pr.f
         else:
             self._setup_wild()
-
-    # -- tame case ---------------------------------------------------------
-
-    def _residue_zeta(self):
-        k, p = self.k, self.p
-        for g in k.elements():
-            if k.is_zero(g):
-                continue
-            z = k.pow(g, (self.q - 1) // p)
-            if z != k.one():
-                return z
-        raise RuntimeError("no p-th root of unity in a field with p | q-1")
 
     def coords(self, x: FieldElement) -> tuple[int, ...]:
         """F_p coordinates of a v-unit x in O_v^*/(O_v^*)^p."""
@@ -50,14 +36,7 @@ class LocalUnitGroup:
         if self.dim == 0:
             return ()
         if self.vp == 0:
-            k = self.k
-            w = k.pow(k.reduce(x), (self.q - 1) // self.p)
-            acc = k.one()
-            for i in range(self.p):
-                if acc == w:
-                    return (i,)
-                acc = k.mul(acc, self._zeta)
-            raise RuntimeError("element not in the mu_p subgroup")
+            return (self.k.mu_p_log(x, self.p),)
         if self.pr.e < self.p - 1:
             return self._coords_log(x)
         return self._coords_wild(x)
@@ -90,7 +69,7 @@ class LocalUnitGroup:
         for i in range(1, e + 1):
             d = self.k.reduce(rem / pi ** i)
             out.extend(self._k_coords(d))
-            rem = rem - k_lift_times(self.k, d, pi ** i)
+            rem = rem - self.k.lift(d) * pi ** i
         assert len(out) == self.dim
         return tuple(out)
 
@@ -162,10 +141,6 @@ def pow_mod(x: FieldElement, n: int, pr: PrimeIdeal, N: int) -> FieldElement:
         base = reduce_mod(base * base, pr, N)
         n >>= 1
     return r
-
-
-def k_lift_times(k: ResidueField, d, scale: FieldElement) -> FieldElement:
-    return k.lift(d) * scale
 
 
 def is_local_pth_power(x: FieldElement, pr: PrimeIdeal, p: int) -> bool:

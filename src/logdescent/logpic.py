@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ideals import Cokernel, class_group, s_class_group, theta_image_dim, theta_map
+from .ideals import (Cokernel, class_group, s_class_group, s_class_torsion_lifts,
+                     s_unit_lattice)
 from .qfield import PrimeIdeal, QuadField
 
 
@@ -132,9 +133,6 @@ class LogPic:
     def equal(self, D1: LogDivisor, D2: LogDivisor) -> bool:
         return self.is_zero(D1 - D2)
 
-    def p_torsion_dim(self, p: int) -> int:
-        return sum(1 for d in self.coker.divisors if d and d % p == 0)
-
     def order(self) -> int:
         return self.coker.order
 
@@ -198,8 +196,6 @@ class LogPicTorsion:
     by lifts of generators of Cl(O_{K,S})[p]."""
 
     def __init__(self, field: QuadField, S, p: int):
-        from .ideals import _solve_s_combination, s_unit_lattice
-
         self.field = field
         self.S = list(S)
         self.p = p
@@ -212,15 +208,7 @@ class LogPicTorsion:
         for vec in s_unit_lattice(cg, self.S):
             gens.append(LogDivisor(
                 field, {pr: Fraction(e, p) for pr, e in zip(self.S, vec) if e}))
-        quot = s_class_group(cg, self.S)
-        for coords in quot.p_torsion_coords(p):
-            Ic_vec = quot.element_vector(list(coords))
-            gvec = cg.coker.element_vector(Ic_vec)
-            tp = tuple(
-                (p * Ic_vec[i]) % d if (d := cg.coker.divisors[i]) else p * Ic_vec[i]
-                for i in range(cg.coker.ngens)
-            )
-            a = _solve_s_combination(cg, self.S, [-c for c in tp])
+        for gvec, a in s_class_torsion_lifts(cg, self.S, p):
             coeffs = {cg.factor_base[i]: Fraction(e) for i, e in enumerate(gvec) if e}
             for pr, av in zip(self.S, a):
                 coeffs[pr] = coeffs.get(pr, Fraction(0)) + Fraction(av, p)
@@ -228,7 +216,7 @@ class LogPicTorsion:
         self.gens = gens
         for g in gens:
             assert self.group.is_zero(p * g)
-        assert len(gens) == self.group.p_torsion_dim(p) == self.dim
+        assert len(gens) == self.group.coker.p_torsion_dim(p) == self.dim
 
     @property
     def dim(self) -> int:

@@ -25,10 +25,6 @@ class Poly:
     def x(cls, field: QuadField) -> "Poly":
         return cls(field, [0, 1])
 
-    @classmethod
-    def const(cls, field: QuadField, c) -> "Poly":
-        return cls(field, [c])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
@@ -131,17 +127,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def eval_poly(self, other: "Poly") -> "Poly":
-        """Composition self(other)."""
-        acc = Poly(self.field, [])
-        for c in reversed(self.coeffs):
-            acc = acc * other + Poly(self.field, [c])
-        return acc
-
-    def shift(self, a) -> "Poly":
-        """self(x + a)."""
-        return self.eval_poly(Poly(self.field, [a, 1]))
 
     def __repr__(self):
         if self.is_zero():

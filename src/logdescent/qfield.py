@@ -15,17 +15,20 @@ from fractions import Fraction
 INF = 10 ** 9  # valuation of zero
 
 
-def _squarefree_part(n: int) -> tuple[int, int]:
-    """n = s^2 * m with m squarefree; returns (m, s)."""
+def _squarefree_part(r) -> tuple[int, Fraction]:
+    """r = s^2 * m for a nonzero rational r, with m a squarefree integer and
+    s > 0 rational; returns (m, s)."""
     from sympy import factorint
 
-    m, s = 1, 1
-    sign = -1 if n < 0 else 1
-    for q, e in factorint(abs(n)).items():
-        if e % 2:
-            m *= q
-        s *= q ** (e // 2)
-    return sign * m, s
+    r = Fraction(r)
+    exps = factorint(abs(r.numerator))
+    for q, e in factorint(r.denominator).items():
+        exps[q] = -e
+    m, s = (-1 if r < 0 else 1), Fraction(1)
+    for q, e in exps.items():
+        m *= q ** (e % 2)
+        s *= Fraction(q) ** (e // 2)
+    return m, s
 
 
 def kronecker(a: int, n: int) -> int:
@@ -104,13 +107,6 @@ class QuadField:
 
     def one(self):
         return self(1)
-
-    def torsion_units(self) -> int:
-        if self.disc == -4:
-            return 4
-        if self.disc == -3:
-            return 6
-        return 2
 
     def infinite_places(self) -> int:
         if self.is_rational:
@@ -279,9 +275,6 @@ class FieldElement:
         g = math.gcd(math.gcd(abs(A), abs(B)), den)
         return A // g, B // g, den // g
 
-    def is_integral(self) -> bool:
-        return self.integer_coords()[2] == 1
-
     def __repr__(self):
         return format_element(self)
 
@@ -395,12 +388,6 @@ class PrimeIdeal:
 
     def norm(self) -> int:
         return self.ell ** self.f
-
-    def residue_size(self) -> int:
-        return self.norm()
-
-    def above(self) -> int:
-        return self.ell
 
     def second_gen(self) -> FieldElement:
         K = self.field
@@ -561,6 +548,7 @@ class ResidueField:
         K = prime.field
         self.tr = K.omega_trace % self.ell if not K.is_rational else 0
         self.nm = K.omega_norm % self.ell if not K.is_rational else 0
+        self._zetas: dict[int, object] = {}
 
     # elements: int in [0, ell) if f == 1 else tuple (a, b)
 
@@ -659,11 +647,34 @@ class ResidueField:
         """Any integral element reducing to xbar."""
         K = self.prime.field
         if self.f == 1:
-            if self.prime.kind == "split" or self.prime.kind == "ramified":
-                # xbar = A + B*wbar with B = 0 works
-                return K(xbar)
             return K(xbar)
         return K(xbar[0]) + K(xbar[1]) * K.omega()
+
+    def zeta(self, p: int):
+        """A generator of mu_p for p | q - 1: the first g^((q-1)/p) != 1 with
+        g running through elements()."""
+        if p not in self._zetas:
+            for g in self.elements():
+                if self.is_zero(g):
+                    continue
+                z = self.pow(g, (self.q - 1) // p)
+                if z != self.one():
+                    self._zetas[p] = z
+                    break
+            else:
+                raise RuntimeError("no p-th root of unity in a field with p | q-1")
+        return self._zetas[p]
+
+    def mu_p_log(self, x: FieldElement, p: int) -> int:
+        """The j in [0, p) with zeta(p)^j = xbar^((q-1)/p), for a unit x."""
+        y = self.pow(self.reduce(x), (self.q - 1) // p)
+        zeta = self.zeta(p)
+        acc = self.one()
+        for j in range(p):
+            if acc == y:
+                return j
+            acc = self.mul(acc, zeta)
+        raise RuntimeError("value not in mu_p of the residue field")
 
     # -- polynomial roots over the residue field -------------------------
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ellcurve import Curve, Point
-from .qfield import FieldElement, PrimeIdeal, ResidueField, hensel_root, invert_mod, reduce_mod
+from .qfield import PrimeIdeal, ResidueField, hensel_root, invert_mod, reduce_mod
 
 NCOMP = {"I0": 1, "II": 1, "III": 2, "IV": 3, "I0*": 5, "IV*": 7, "III*": 8, "II*": 9}
 COMP_ORDER = {"I0": 1, "II": 1, "III": 2, "IV": 3, "I0*": 4, "IV*": 3, "III*": 2, "II*": 1}
@@ -217,10 +217,6 @@ def tate_local_data(E_in: Curve, pr: PrimeIdeal) -> LocalData:
 
 
 # -- points on the special fiber ------------------------------------------
-
-
-def minimal_point(ld: LocalData, P: Point, source: Curve) -> Point:
-    return ld.map_point(P, source)
 
 
 def e_entry(ld: LocalData, P: Point, source: Curve):

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
+import logdescent
 from logdescent.cli import main
 
 ARGS_11A_47 = ["--D", "-47", "--a2", "-1", "--a3", "1", "--a4", "-10",
@@ -93,6 +97,19 @@ def test_exit_code_input_errors(capsys):
     assert code == 1
 
 
+def test_non_torsion_point_rejected_under_optimize():
+    # the check must not rest on assert statements, which -O strips
+    src = os.path.dirname(os.path.dirname(os.path.abspath(logdescent.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "logdescent.cli", "selmer",
+         *ARGS_11A_47[:-2], "--P", "4,-1/2+1/2*sqrt(-47)"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert "error: P is not a p-torsion point" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_exit_code_hypothesis_failure(capsys):
     code, _, err = _run(capsys, ["selmer", "--a1", "-6", "--a3", "2",
                                  "--p", "3", "--P", "0,0"])
@@ -106,3 +123,12 @@ def test_out_file(tmp_path, capsys):
                                  "--out", str(dest)])
     assert code == 0 and out == ""
     assert json.loads(dest.read_text())["schema"] == 1
+    # search writes JSON lines through the same writer
+    search = ["search", "--a2", "-1", "--a3", "1", "--a4", "-10", "--a6", "-20",
+              "--p", "5", "--P", "5,5", "--xbound", "1", "--format", "json"]
+    lines = tmp_path / "search.jsonl"
+    code, out, _ = _run(capsys, [*search, "--out", str(lines)])
+    assert code == 0 and out == ""
+    code, out, _ = _run(capsys, search)
+    assert code == 0 and out
+    assert lines.read_text() == out

@@ -8,6 +8,7 @@ from logdescent.descent import (
     KummerMap,
     descent_report,
     local_mu_p_dim,
+    miller,
     psi,
     psi_sel,
     psi_vector,
@@ -194,6 +195,15 @@ def test_rho_kappa_equals_psi():
         c = km.coords(Q, aux=Q2)
         rho = T.vector(psi_sel(ctx, km.element(c)))
         assert rho == psi_vector(ctx, Q)
+
+
+def test_miller_rejects_non_torsion_point():
+    ctx = _ctx_11a(-47)
+    K = ctx.field
+    E = ctx.Eprime
+    Q = E.point(K(4), K(Fraction(-1, 2), Fraction(1, 2)))  # infinite order
+    with pytest.raises(ValueError):
+        miller(Q, 5, E.point(K(5), K(5)))
 
 
 def test_psi_sel_on_units_and_integers():

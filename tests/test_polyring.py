@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 from logdescent.polyring import Poly, gcd, interpolate, resultant
 from logdescent.qfield import make_field
 
@@ -56,11 +54,3 @@ def test_interpolation():
     g = interpolate(K, [(0, w), (1, 2 * w), (2, 3 * w)])
     assert g.degree == 1
     assert g(5) == 6 * w
-
-
-def test_shift_compose():
-    K = make_field(None)
-    x = Poly.x(K)
-    f = x * x + 1
-    assert f.shift(Fraction(1)) == x * x + 2 * x + 2
-    assert f.eval_poly(x * x) == x ** 4 + 1

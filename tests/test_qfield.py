@@ -1,10 +1,14 @@
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logdescent.qfield import (
     FieldElement,
     ResidueField,
+    _squarefree_part,
     format_element,
     hensel_root,
     invert_mod,
@@ -169,3 +173,29 @@ def test_reduce_invert_hensel():
     r0 = k.lift(rts[0])
     r = hensel_root([K2(-2), K2(0), K2(1)], pr7, r0, 6)
     assert pr7.val(r * r - 2) >= 6
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fractions().filter(lambda r: r != 0))
+def test_squarefree_part_of_rationals(r):
+    d, s = _squarefree_part(r)
+    assert d * s * s == r and s > 0
+    assert d != 0 and all(e == 1 for e in sympy.factorint(abs(d)).values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([None, -47, 2, -3]), st.sampled_from([3, 5, 7]),
+       st.integers(0, 9), st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6))
+def test_mu_p_log(D, p, i, a, b):
+    K = make_field(D)
+    ell = [q for q in sympy.primerange(2, 400) if q % p == 1][i]
+    x = K(a) if K.is_rational else K(a, b)
+    for pr in primes_above(K, ell):
+        if pr.val(x) != 0:
+            continue
+        k = ResidueField(pr)
+        zeta = k.zeta(p)
+        assert zeta != k.one() and k.pow(zeta, p) == k.one()
+        j = k.mu_p_log(x, p)
+        assert 0 <= j < p
+        assert k.pow(zeta, j) == k.pow(k.reduce(x), (k.q - 1) // p)
