@@ -115,14 +115,8 @@ class Curve:
         if P.is_zero():
             return E2.zero()
         K = self.field
-        u = u if isinstance(u, FieldElement) else K(u)
-        r = r if isinstance(r, FieldElement) else K(r)
-        s = s if isinstance(s, FieldElement) else K(s)
-        t = t if isinstance(t, FieldElement) else K(t)
-        ui = u.inverse()
-        nx = (P.x - r) * ui ** 2
-        ny = (P.y - s * nx * u * u - t) * ui ** 3
-        return E2.point(nx, ny)
+        urst = (a if isinstance(a, FieldElement) else K(a) for a in (u, r, s, t))
+        return E2.point(*map_coords(P.x, P.y, coordinate_change(*urst)))
 
     # -- division polynomials (x-only parts) -------------------------------
 
@@ -250,6 +244,22 @@ class Point:
         if self.is_zero():
             return "O"
         return f"({self.x} : {self.y})"
+
+
+def coordinate_change(u: FieldElement, r: FieldElement, s: FieldElement,
+                      t: FieldElement) -> tuple:
+    """The constants (r, s u^2, t, u^-2, u^-3) with which map_coords applies
+    the substitution x = u^2 x' + r, y = u^3 y' + s u^2 x' + t."""
+    ui = u.inverse()
+    ui2 = ui * ui
+    return (r, s * u * u, t, ui2, ui2 * ui)
+
+
+def map_coords(x: FieldElement, y: FieldElement, change: tuple) -> tuple:
+    """(x', y') for the point (x, y) under a coordinate_change."""
+    r, su2, t, ui2, ui3 = change
+    nx = (x - r) * ui2
+    return nx, (y - su2 * nx - t) * ui3
 
 
 def curve_from_rational(field: QuadField, ainvs) -> Curve:

@@ -106,7 +106,8 @@ def isogeny_from_kernel_point(E: Curve, P: Point, p: int) -> Isogeny:
 def find_isomorphism(E1: Curve, E2: Curve) -> tuple:
     """(u, r, s, t) with E1.transform(u, r, s, t) == E2."""
     K = E1.field
-    assert E1.c4 and E1.c6, "j = 0, 1728 not handled"
+    if not (E1.c4 and E1.c6):
+        raise ValueError("j = 0, 1728 not handled")
     u2 = (E1.c6 / E2.c6) / (E1.c4 / E2.c4)
     u0 = sqrt_element(u2)
     assert u0 is not None, "curves are not isomorphic over the base field"

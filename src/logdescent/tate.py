@@ -9,8 +9,10 @@ characteristic 2 or 3 in a quadratic field).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 
-from .ellcurve import Curve, Point
+from .ellcurve import Curve, Point, coordinate_change, map_coords
 from .qfield import PrimeIdeal, ResidueField, hensel_root, invert_mod, reduce_mod
 
 NCOMP = {"I0": 1, "II": 1, "III": 2, "IV": 3, "I0*": 5, "IV*": 7, "III*": 8, "II*": 9}
@@ -19,6 +21,10 @@ COMP_ORDER = {"I0": 1, "II": 1, "III": 2, "IV": 3, "I0*": 4, "IV*": 3, "III*": 2
 
 @dataclass
 class LocalData:
+    """Tate's algorithm at one place. The properties past the fields are the
+    per-place constants of map_point and component_index, each computed on
+    first use, so once per place."""
+
     prime: PrimeIdeal
     curve_min: Curve          # minimal model, singular point at (0,0) mod pi
     urst: tuple               # transform input model -> curve_min
@@ -30,6 +36,10 @@ class LocalData:
     split: bool | None        # for multiplicative reduction
     vdisc: int                # v(disc of minimal model)
     vu: int                   # v(u) of the transform (>= 0 for integral input)
+    # IV, IV*, I0*, In*: (coord, e, roots). A point at the singular point of
+    # curve_min lies on the branch of its residue of coord/pi^e among the
+    # sorted residue roots of the last equation of the algorithm
+    branches: tuple = ()
 
     @property
     def f(self) -> int:
@@ -47,9 +57,42 @@ class LocalData:
         return (self.kodaira[0] == "I" and self.kodaira[1:].isdigit()
                 and self.kodaira != "I0")
 
+    @cached_property
+    def residue_field(self) -> ResidueField:
+        return ResidueField(self.prime)
+
+    @cached_property
+    def uniformizer(self):
+        return self.prime.uniformizer()
+
+    @cached_property
+    def _to_min(self) -> tuple:
+        return coordinate_change(*self.urst)
+
     def map_point(self, P: Point, source: Curve) -> Point:
-        u, r, s, t = self.urst
-        return source.map_point(P, u, r, s, t)
+        """P, a point of source (the model this data was computed for), on
+        curve_min = source.transform(*urst). Raises ValueError if the image
+        is not on curve_min, i.e. P is not a point of source."""
+        if P.is_zero():
+            return self.curve_min.zero()
+        return self.curve_min.point(*map_coords(P.x, P.y, self._to_min))
+
+    @cached_property
+    def node(self) -> tuple:
+        """(x0, y0, alpha, beta) for split In: the node of curve_min lifted
+        to precision n + 4, and the tangent slopes there, lifted from the
+        two residue roots in sorted order."""
+        E, pr, k = self.curve_min, self.prime, self.residue_field
+        N = self.n + 4
+        x0, y0 = _refine_node(E, pr, N)
+        Et = E.transform(E.field.one(), x0, E.field.zero(), y0)
+        assert pr.val(Et.a6) == self.n
+        # tangent slopes at the node: roots of T^2 + a1 T - a2
+        quad = [-Et.a2, Et.a1, E.field.one()]
+        rts = sorted(_k_roots(k, quad))
+        assert len(rts) == 2
+        alpha, beta = (hensel_root(quad, pr, k.lift(r), N) for r in rts)
+        return x0, y0, alpha, beta
 
 
 def _compose_urst(a, b):
@@ -123,9 +166,9 @@ def tate_local_data(E_in: Curve, pr: PrimeIdeal) -> LocalData:
         E = E.transform(*step)
         urst = _compose_urst(urst, step)
 
-    def done(kodaira, n, ncomp, comp_order, c, split=None):
+    def done(kodaira, n, ncomp, comp_order, c, split=None, branches=()):
         return LocalData(pr, E, urst, kodaira, n, ncomp, comp_order, c, split,
-                         v(E.disc), v(urst[0]))
+                         v(E.disc), v(urst[0]), branches)
 
     while True:
         if v(E.disc) == 0:
@@ -149,7 +192,7 @@ def tate_local_data(E_in: Curve, pr: PrimeIdeal) -> LocalData:
             return done("III", 0, 2, 2, 2)
         if v(E.b6) < 3:
             rts = _k_roots(k, [-E.a6 / pi ** 2, E.a3 / pi, one])
-            return done("IV", 0, 3, 3, 3 if len(rts) == 2 else 1)
+            return done("IV", 0, 3, 3, 3 if len(rts) == 2 else 1, branches=("y", 1, sorted(rts)))
 
         # normalize: v(a1) >= 1, v(a2) >= 1, v(a3) >= 2, v(a4) >= 2, v(a6) >= 3
         if k.ell != 2:
@@ -168,8 +211,8 @@ def tate_local_data(E_in: Curve, pr: PrimeIdeal) -> LocalData:
         Pc = [E.a6 / pi ** 3, E.a4 / pi ** 2, E.a2 / pi, one]
         mult_roots = _k_poly_gcd_roots(k, Pc)
         if not mult_roots:
-            nroots = len(_k_roots(k, Pc))
-            return done("I0*", 0, 5, 4, 1 + nroots)
+            rts = _k_roots(k, Pc)
+            return done("I0*", 0, 5, 4, 1 + len(rts), branches=("x", 1, sorted(rts)))
 
         r0 = mult_roots[0]
         # test triple root: P(T) = (T - r0)^3 iff P'' (r0) = 0 too
@@ -191,7 +234,8 @@ def tate_local_data(E_in: Curve, pr: PrimeIdeal) -> LocalData:
                 dbl = _k_poly_gcd_roots(k, quad)
                 if not dbl:
                     c = 4 if len(rts) == 2 else 2
-                    return done(f"I{n}*", n, n + 5, 4, c)
+                    last = ("y", my) if n % 2 == 1 else ("x", mx)
+                    return done(f"I{n}*", n, n + 5, 4, c, branches=(*last, sorted(rts)))
                 if n % 2 == 1:
                     apply(one, K.zero(), K.zero(), pi ** my * k.lift(dbl[0]))
                     my += 1
@@ -205,7 +249,7 @@ def tate_local_data(E_in: Curve, pr: PrimeIdeal) -> LocalData:
         rts = _k_roots(k, quad)
         dbl = _k_poly_gcd_roots(k, quad)
         if not dbl:
-            return done("IV*", 0, 7, 3, 3 if len(rts) == 2 else 1)
+            return done("IV*", 0, 7, 3, 3 if len(rts) == 2 else 1, branches=("y", 2, sorted(rts)))
         apply(one, K.zero(), K.zero(), pi ** 2 * k.lift(dbl[0]))
         assert v(E.a3) >= 3 and v(E.a6) >= 5
         if v(E.a4) < 4:
@@ -221,23 +265,20 @@ def tate_local_data(E_in: Curve, pr: PrimeIdeal) -> LocalData:
 
 def e_entry(ld: LocalData, P: Point, source: Curve):
     """e_v(P) = -(1/2) min(v(x), 0) on the minimal model; Fraction-valued."""
-    from fractions import Fraction
-
     if P.is_zero():
         return Fraction(0)
-    Pm = ld.map_point(P, source)
-    vx = ld.prime.val(Pm.x)
+    vx = ld.prime.val(ld.map_point(P, source).x)
     return Fraction(-min(vx, 0), 2)
 
 
-def has_singular_reduction(ld: LocalData, P: Point, source: Curve) -> bool:
-    if P.is_zero():
-        return False
-    Pm = ld.map_point(P, source)
+def _at_singular_point(ld: LocalData, Pm: Point) -> bool:
+    """Whether Pm, a point of curve_min, reduces to the singular point (0,0)."""
     v = ld.prime.val
-    if v(Pm.x) < 0:
-        return False
     return v(Pm.x) >= 1 and v(Pm.y) >= 1
+
+
+def has_singular_reduction(ld: LocalData, P: Point, source: Curve) -> bool:
+    return not P.is_zero() and _at_singular_point(ld, ld.map_point(P, source))
 
 
 def _refine_node(E: Curve, pr: PrimeIdeal, N: int):
@@ -276,14 +317,14 @@ def component_index(ld: LocalData, P: Point, source: Curve) -> int:
     tables: In*: 1 = near end, 2/3 = far ends; IV/IV*: 1/2 the two
     branches; III/III*: 1 the non-identity end; I0*: 1..3 the legs.
     """
-    if P.is_zero() or not has_singular_reduction(ld, P, source):
+    if P.is_zero():
         return 0
-    E = ld.curve_min
-    pr = ld.prime
-    v = pr.val
-    k = ResidueField(pr)
-    pi = pr.uniformizer()
     Pm = ld.map_point(P, source)
+    if not _at_singular_point(ld, Pm):
+        return 0
+    v = ld.prime.val
+    k = ld.residue_field
+    pi = ld.uniformizer
     t = ld.kodaira
 
     if ld.is_multiplicative:
@@ -291,16 +332,7 @@ def component_index(ld: LocalData, P: Point, source: Curve) -> int:
         if not ld.split:
             assert n % 2 == 0, "no rational point on a swapped component"
             return n // 2
-        N = n + 4
-        x0, y0 = _refine_node(E, pr, N)
-        Et = E.transform(E.field.one(), x0, E.field.zero(), y0)
-        assert v(Et.a6) == n
-        # tangent slopes at the node: roots of T^2 + a1 T - a2
-        rts = _k_roots(k, [-Et.a2, Et.a1, E.field.one()])
-        assert len(rts) == 2
-        rts.sort(key=lambda r: (r,) if k.f == 1 else r)
-        alpha = hensel_root([-Et.a2, Et.a1, E.field.one()], pr, k.lift(rts[0]), N)
-        beta = hensel_root([-Et.a2, Et.a1, E.field.one()], pr, k.lift(rts[1]), N)
+        x0, y0, alpha, beta = ld.node
         X = Pm.x - x0
         Y = Pm.y - y0
         la = v(Y - alpha * X)
@@ -313,63 +345,14 @@ def component_index(ld: LocalData, P: Point, source: Curve) -> int:
         return 0
     if t in ("III", "III*"):
         return 1
-    if t == "IV":
-        rts = _k_roots(k, [-E.a6 / pi ** 2, E.a3 / pi, E.field.one()])
-        assert len(rts) == 2 and v(Pm.y) >= 1
-        rts.sort(key=lambda r: (r,) if k.f == 1 else r)
-        ybar = k.reduce(Pm.y / pi)
-        return 1 + rts.index(ybar)
-    if t == "IV*":
-        rts = _k_roots(k, [-E.a6 / pi ** 4, E.a3 / pi ** 2, E.field.one()])
-        assert len(rts) == 2
-        rts.sort(key=lambda r: (r,) if k.f == 1 else r)
-        assert v(Pm.x) >= 2 and v(Pm.y) >= 2
-        ybar = k.reduce(Pm.y / pi ** 2)
-        assert ybar in rts
-        return 1 + rts.index(ybar)
-    if t == "I0*":
-        Pc = [E.a6 / pi ** 3, E.a4 / pi ** 2, E.a2 / pi, E.field.one()]
-        rts = _k_roots(k, Pc)
-        rts.sort(key=lambda r: (r,) if k.f == 1 else r)
-        xbar = k.reduce(Pm.x / pi)
-        assert xbar in rts
-        return 1 + rts.index(xbar)
-    # In*, n >= 1: follow the point through the reduction stages
-    assert t.endswith("*")
-    n = ld.n
-    Pc = [E.a6 / pi ** 3, E.a4 / pi ** 2, E.a2 / pi, E.field.one()]
-    dbl = _k_poly_gcd_roots(k, Pc)
-    assert len(dbl) == 1
-    xbar = k.reduce(Pm.x / pi)
-    if xbar != dbl[0]:
-        return 1  # the near simple-root end
-    # walk the same stage translations as the algorithm
-    Ew = E.transform(E.field.one(), pi * k.lift(dbl[0]), E.field.zero(), E.field.zero())
-    Pw = E.map_point(Pm, E.field.one(), pi * k.lift(dbl[0]), E.field.zero(), E.field.zero())
-    m = 1
-    mx, my = 2, 2
-    while True:
-        if m % 2 == 1:
-            quad = [-Ew.a6 / pi ** (mx + my), Ew.a3 / pi ** my, Ew.field.one()]
-        else:
-            quad = [Ew.a6 / pi ** (mx + my), Ew.a4 / pi ** (mx + 1), Ew.field.one()]
-        rts = _k_roots(k, quad)
-        dbl2 = _k_poly_gcd_roots(k, quad)
-        if not dbl2:
-            assert m == n and len(rts) == 2
-            rts.sort(key=lambda r: (r,) if k.f == 1 else r)
-            if m % 2 == 1:
-                wbar = k.reduce(Pw.y / pi ** my)
-            else:
-                wbar = k.reduce(Pw.x / pi ** mx)
-            assert wbar in rts
-            return 2 + rts.index(wbar)
-        if m % 2 == 1:
-            step = (Ew.field.one(), Ew.field.zero(), Ew.field.zero(), pi ** my * k.lift(dbl2[0]))
-            my += 1
-        else:
-            step = (Ew.field.one(), pi ** mx * k.lift(dbl2[0]), Ew.field.zero(), Ew.field.zero())
-            mx += 1
-        Pw = Ew.map_point(Pw, *step)
-        Ew = Ew.transform(*step)
-        m += 1
+    coord, e, rts = ld.branches
+    first = 1
+    if t not in ("IV", "IV*", "I0*"):
+        # In*, n >= 1. curve_min is the model of the algorithm's last stage,
+        # where the double root of P(T) = T^3 + a2/pi T^2 + ... is 0
+        if not k.is_zero(k.reduce(Pm.x / pi)):
+            return 1  # the near simple-root end
+        first = 2
+    w = k.reduce((Pm.y if coord == "y" else Pm.x) / pi ** e)
+    assert w in rts
+    return first + rts.index(w)

@@ -97,16 +97,25 @@ def test_exit_code_input_errors(capsys):
     assert code == 1
 
 
-def test_non_torsion_point_rejected_under_optimize():
-    # the check must not rest on assert statements, which -O strips
+def _run_optimized(argv):
+    """The CLI in a python -O subprocess, which strips assert statements."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(logdescent.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "logdescent.cli", "selmer",
-         *ARGS_11A_47[:-2], "--P", "4,-1/2+1/2*sqrt(-47)"],
-        capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-O", "-m", "logdescent.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def test_non_torsion_point_rejected_under_optimize():
+    proc = _run_optimized(["selmer", *ARGS_11A_47[:-2], "--P", "4,-1/2+1/2*sqrt(-47)"])
     assert proc.returncode == 1
     assert "error: P is not a p-torsion point" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_j_zero_rejected_under_optimize():
+    proc = _run_optimized(["selmer", "--a3", "1", "--p", "3", "--P", "0,0"])
+    assert proc.returncode == 1
+    assert "error: j = 0, 1728 not handled" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -103,17 +103,9 @@ def test_fibral_table_star_types_against_intersections():
     assert fibral_coefficient(_FakeLD("III*", 0, False), 1, 1) == Fraction(3, 2)
 
 
-def _setup_158c():
-    K = make_field(-79)
-    E = Curve(K, 1, 1, 1, -420, 3109)
-    sq = 2 * K.omega() - 1
-    P = E.point(K(13), K(-15))
-    Q = E.point(K(Fraction(101, 9)), K(Fraction(-55, 9)) + K(Fraction(16, 27)) * sq)
-    return K, E, P, Q
-
-
-def test_quadratic_example_reduction_types():
-    K, E, P, Q = _setup_158c()
+def test_quadratic_example_reduction_types(worked_curves):
+    E, P, (Q,) = worked_curves["158"]
+    K = E.field
     p2, p2b = primes_above(K, 2)
     p79 = primes_above(K, 79)[0]
     assert bad_places(E) == sorted([p2, p2b, p79], key=lambda p: p.sort_key())
@@ -128,8 +120,9 @@ def test_quadratic_example_reduction_types():
     assert ld.kodaira == "I2" and not ld.split
 
 
-def test_quadratic_example_pairing_values():
-    K, E, P, Q = _setup_158c()
+def test_quadratic_example_pairing_values(worked_curves):
+    E, P, (Q,) = worked_curves["158"]
+    K = E.field
     p2, p2b = primes_above(K, 2)
     G = pairing_group(E)
     PQ = log_pairing(E, P, Q)
@@ -140,6 +133,23 @@ def test_quadratic_example_pairing_values():
     assert G.equal(PQ, log_pairing(E, Q, P))
     assert G.equal(log_pairing(E, P, P), LogDivisor(K, {p2: Fraction(4, 5), p2b: Fraction(4, 5)}))
     assert G.equal(log_pairing(E, Q, Q), LogDivisor(K, {p2: Fraction(1, 4), p2b: Fraction(1, 4)}))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "known defect: on 158 over Q(sqrt -79) log_pairing is not additive once P "
+    "enters a combination; the difference is the class of a prime above 5 "
+    "(perfbench/NOTES.md, Known defects)"))
+def test_additivity_158_known_defect(worked_curves):
+    E, P, (Q,) = worked_curves["158"]
+    G = pairing_group(E)
+    assert G.equal(log_pairing(E, P, Q + P), log_pairing(E, P, Q) + log_pairing(E, P, P))
+
+
+def test_additivity_158_multiples_of_generator(worked_curves):
+    E, P, (Q,) = worked_curves["158"]
+    G = pairing_group(E)
+    QQ = log_pairing(E, Q, Q)
+    assert G.equal(log_pairing(E, Q, Q * 2), QQ + QQ)
 
 
 def test_pairing_bilinear_on_rational_curve():
