@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import sympy
 
 from .ellcurve import Curve, Point
-from .ideals import (FieldSelmerBasis, class_group, field_selmer_basis,
+from .ideals import (FieldSelmerBasis, SClassGroup, class_group, field_selmer_basis,
                      s_class_group)
 from .isogeny import (PlaceClassification, classify_place, dual_isogeny,
                       isogeny_from_kernel_point)
@@ -85,11 +86,23 @@ class DescentContext:
         if self.failures:
             raise HypothesisError("; ".join(self.failures))
 
-    def torsion(self) -> LogPicTorsion:
-        if not hasattr(self, "_torsion"):
-            self._torsion = LogPicTorsion(self.field, self.S1, self.p)
-        return self._torsion
+    @cached_property
+    def h1(self) -> FieldSelmerBasis:
+        """The basis of H^1(U_1, mu_p)."""
+        return field_selmer_basis(self.field, self.S1, self.p)
 
+    @cached_property
+    def cl_S1(self) -> SClassGroup:
+        """Cl(O_{K,S_1})."""
+        return s_class_group(class_group(self.field), self.S1)
+
+    @cached_property
+    def logpic_torsion(self) -> LogPicTorsion:
+        """logPic(X, S_1)[p] with explicit generators."""
+        return LogPicTorsion(self.field, self.S1, self.p)
+
+    def torsion(self) -> LogPicTorsion:
+        return self.logpic_torsion
 
 
 def local_mu_p_dim(pr: PrimeIdeal, p: int) -> int:
@@ -202,7 +215,7 @@ def selmer_phi(ctx: DescentContext) -> SelmerGroup:
     """Sel^phi = ker(H^1(U_1, mu_p) -> sum over S_2 of O_v^*/p)."""
     ctx.require_hypotheses()
     p = ctx.p
-    h1 = field_selmer_basis(ctx.field, ctx.S1, p)
+    h1 = ctx.h1
     lugs = [LocalUnitGroup(pr, p) for pr in ctx.S2]
     rows = []
     for g in h1.gens:
@@ -233,9 +246,8 @@ def selmer_phihat_dim(ctx: DescentContext, sel: SelmerGroup) -> int:
     d = sel.dim - diff
     if d < 0:
         raise RuntimeError("duality gives a negative dual Selmer dimension")
-    if not ctx.S2:
-        cg = class_group(ctx.field)
-        assert d == s_class_group(cg, ctx.S1).mod_p_dim(p)
+    if not ctx.S2 and d != ctx.cl_S1.mod_p_dim(p):
+        raise RuntimeError("duality disagrees with Cl(O_{K,S_1})/p (Cor. 3.4)")
     return d
 
 
@@ -244,8 +256,7 @@ def sel_p_dim_if_applicable(ctx: DescentContext, sel: SelmerGroup) -> int | None
     group has at most one p-dimension."""
     if ctx.S2 or not ctx.S1:
         return None
-    cg = class_group(ctx.field)
-    hs = s_class_group(cg, ctx.S1).mod_p_dim(ctx.p)
+    hs = ctx.cl_S1.mod_p_dim(ctx.p)
     if hs > 1:
         return None
     return 2 * hs + len(ctx.S1) + ctx.field.infinite_places() - 2
@@ -306,7 +317,7 @@ class KummerMap:
     def __init__(self, ctx: DescentContext):
         ctx.require_hypotheses()
         self.ctx = ctx
-        self.h1 = field_selmer_basis(ctx.field, ctx.S1, ctx.p)
+        self.h1 = ctx.h1
         self.coords_solver = H1Coordinates(self.h1)
         self._gamma_parts: tuple | None = None   # (A-value, B-value, AB-value)
 
@@ -491,16 +502,9 @@ def quadratic_point_search(Eprime, P, p: int, xbound: int):
             # sqrt(delta) = s * sqrt(d), and sqrt(d) generates K
             y = (s * K.sqrt_gen() - K(Eprime.a1.a) * K(fr) - K(Eprime.a3.a)) / 2
             Q = ctx.Eprime.point(K(fr), y)
-            if _is_torsion(Q, 12 * p):
+            # a torsion point over a quadratic field has order at most 18
+            # (Kamienny, Kenku-Momose)
+            if Q.order(18) is not None:
                 continue
             results.append((K, Q, psi(ctx, Q)))
     return results
-
-
-def _is_torsion(Q: Point, bound: int) -> bool:
-    V = Q
-    for _ in range(bound):
-        if V.is_zero():
-            return True
-        V = V + Q
-    return False

@@ -281,24 +281,6 @@ class FracIdeal:
     def principal(cls, x: FieldElement) -> "FracIdeal":
         return cls(x.field, prime_divisors(x.field, x))
 
-    def __mul__(self, other: "FracIdeal") -> "FracIdeal":
-        d = dict(self.powers)
-        for p, e in other.powers.items():
-            d[p] = d.get(p, 0) + e
-        return FracIdeal(self.field, d)
-
-    def inverse(self) -> "FracIdeal":
-        return FracIdeal(self.field, {p: -e for p, e in self.powers.items()})
-
-    def __pow__(self, n: int) -> "FracIdeal":
-        return FracIdeal(self.field, {p: n * e for p, e in self.powers.items()})
-
-    def norm(self) -> Fraction:
-        n = Fraction(1)
-        for p, e in self.powers.items():
-            n *= Fraction(p.norm()) ** e
-        return n
-
     def numerator_lattice(self) -> LatticeIdeal:
         I = LatticeIdeal.unit_ideal(self.field)
         for p, e in self.powers.items():
@@ -348,6 +330,11 @@ class Cokernel:
     """Z^n modulo the subgroup generated by given relation vectors."""
 
     def __init__(self, ngens: int, relations: list[list[int]]):
+        self._present(ngens, relations)
+
+    def _present(self, ngens: int, relations: list[list[int]]) -> list[list[int]]:
+        """Put the matrix whose columns are the relations into Smith form
+        U*A*V. Keeps U, its inverse and the divisors; returns V."""
         self.ngens = ngens
         if not relations:
             relations = [[0] * ngens]
@@ -360,6 +347,7 @@ class Cokernel:
             d = S[i][i] if i < len(S[0]) and i < len(S) else 0
             divisors.append(abs(d))
         self.divisors = divisors  # 0 means a free Z factor
+        return V
 
     @property
     def order(self) -> int:
@@ -488,30 +476,11 @@ class ClassGroup:
                 return tuple(coords)
         raise RuntimeError("discrete log failed; class group data inconsistent")
 
-    def dlog(self, ideal) -> tuple[int, ...]:
-        if isinstance(ideal, PrimeIdeal):
-            return self.dlog_prime(ideal)
-        if isinstance(ideal, FracIdeal):
-            acc = [0] * self.coker.ngens
-            for p, e in ideal.powers.items():
-                t = self.dlog_prime(p)
-                acc = [a + e * b for a, b in zip(acc, t)]
-            return tuple(
-                acc[i] % d if (d := self.coker.divisors[i]) else acc[i]
-                for i in range(self.coker.ngens)
-            )
-        if isinstance(ideal, LatticeIdeal):
-            return self._dlog_lattice(ideal)
-        raise TypeError(f"cannot dlog {type(ideal)}")
-
     def coords_add(self, a, b, sign: int = 1):
         return tuple(
             (x + sign * y) % d if (d := self.coker.divisors[i]) else x + sign * y
             for i, (x, y) in enumerate(zip(a, b))
         )
-
-    def mod_p_dim(self, p: int) -> int:
-        return self.coker.mod_p_dim(p)
 
 
 _CLASS_GROUP_CACHE: dict[int, ClassGroup] = {}
@@ -659,18 +628,58 @@ class FieldSelmerBasis:
         return x
 
 
-def s_class_group(cg: ClassGroup, S: list[PrimeIdeal]) -> Cokernel:
+class SClassGroup(Cokernel):
+    """The S-class map Z^S -> Cl(K), v -> [v], from one Smith form.
+
+    As a Cokernel this is Cl(O_{K,S}) presented on the class group's
+    generators, with relations d_i e_i first and then [v] for v in S. The
+    same Smith form gives the kernel of the map, ``unit_lattice`` (the
+    exponent vectors of S-units, in HNF), and preimages (``s_combination``).
+    """
+
+    def __init__(self, cg: ClassGroup, S: list[PrimeIdeal]):
+        self.cg = cg
+        n = cg.coker.ngens
+        rels = [[d if i == j else 0 for j in range(n)] for i, d in enumerate(cg.coker.divisors)]
+        rels += [list(cg.dlog_prime(pr)) for pr in S]
+        V = self._present(n, rels)
+        # Cl(K) is finite, so the relation matrix has rank n: the first n
+        # columns of V solve the system and the others span its kernel.
+        # Only the rows of V that belong to S are kept.
+        VS = V[n:] if n else [[int(i == j) for j in range(len(S))] for i in range(len(S))]
+        self._lift = [row[:n] for row in VS]
+        self.unit_lattice = hnf([list(col) for col in zip(*(row[n:] for row in VS))])
+        if len(self.unit_lattice) != len(S):
+            raise RuntimeError("the S-unit lattice does not have full rank")
+
+    def s_combination(self, target: list[int]) -> list[int]:
+        """The least non-negative a in Z^S, in lexicographic order, with
+        sum over S of a_v [v] = target in Cl(K) (class group coordinates)."""
+        z = [sum(u * t for u, t in zip(row, target)) for row in self.U]
+        if any(zi % d for zi, d in zip(z, self.divisors)):
+            raise RuntimeError("no S-combination for the requested class")
+        y = [zi // d for zi, d in zip(z, self.divisors)]
+        a = [sum(v * c for v, c in zip(row, y)) for row in self._lift]
+        # the solutions are a + unit_lattice, whose HNF row i has its pivot
+        # in column i: reduce a_i into [0, pivot) row by row
+        for i, row in enumerate(self.unit_lattice):
+            q = a[i] // row[i]
+            a = [x - q * r for x, r in zip(a, row)]
+        return a
+
+    def torsion_lifts(self, p: int):
+        """For each basis vector c of Cl(O_{K,S})[p], yields the factor-base
+        vector of an ideal I_c in the class c and S-exponents a such that
+        I_c^p * prod over S of v^(a_v) is principal."""
+        for coords in self.p_torsion_coords(p):
+            Ic_vec = self.element_vector(list(coords))  # class group coordinates of I_c
+            yield (self.cg.coker.element_vector(Ic_vec),
+                   self.s_combination([-p * c for c in Ic_vec]))
+
+
+def s_class_group(cg: ClassGroup, S: list[PrimeIdeal]) -> SClassGroup:
     """Cl(O_{K,S}) presented on the class group's generators."""
-    n = cg.coker.ngens
-    rels = []
-    for i in range(n):
-        d = cg.coker.divisors[i]
-        vec = [0] * n
-        vec[i] = d
-        rels.append(vec)
-    for pr in S:
-        rels.append(list(cg.dlog_prime(pr)))
-    return Cokernel(n, rels)
+    return SClassGroup(cg, S)
 
 
 def theta_map(cg: ClassGroup, S: list[PrimeIdeal], residues: list[int], p: int) -> tuple[int, ...]:
@@ -699,30 +708,8 @@ def theta_image_dim(cg: ClassGroup, S: list[PrimeIdeal], p: int) -> int:
 
 
 def s_unit_lattice(cg: ClassGroup, S: list[PrimeIdeal]) -> list[list[int]]:
-    """Basis of {n in Z^S : prod v^n_v is principal}."""
-    if not S:
-        return []
-    n = cg.coker.ngens
-    if n == 0:
-        return [[int(i == j) for j in range(len(S))] for i in range(len(S))]
-    # kernel of Z^S -> Cl: integer kernel of [W | diag(d)] projected
-    W = [list(cg.dlog_prime(pr)) for pr in S]  # S rows, n cols
-    ncols = len(S) + n
-    A = [[0] * ncols for _ in range(n)]
-    for j, row in enumerate(W):
-        for i in range(n):
-            A[i][j] = row[i]
-    for i in range(n):
-        A[i][len(S) + i] = cg.coker.divisors[i] if cg.coker.divisors[i] else 0
-    U, Smat, V = smith_normal_form(A)
-    rank = sum(1 for i in range(min(n, ncols)) if Smat[i][i] != 0)
-    kernel = []
-    for j in range(rank, ncols):
-        col = [V[i][j] for i in range(ncols)]
-        kernel.append(col[: len(S)])
-    basis = hnf(kernel)
-    assert len(basis) == len(S)
-    return basis
+    """Basis of {n in Z^S : prod v^n_v is principal}, in HNF."""
+    return s_class_group(cg, S).unit_lattice
 
 
 def field_selmer_basis(field: QuadField, S: list[PrimeIdeal], p: int) -> FieldSelmerBasis:
@@ -740,54 +727,21 @@ def field_selmer_basis(field: QuadField, S: list[PrimeIdeal], p: int) -> FieldSe
         # zeta_3 for Q(sqrt(-3))
         unit_gens.append(field(Fraction(-1, 2), Fraction(1, 2)))
     cg = class_group(field)
-    for vec in s_unit_lattice(cg, S):
+    scl = s_class_group(cg, S)
+    for vec in scl.unit_lattice:
         I = FracIdeal(field, {pr: e for pr, e in zip(S, vec)})
         ok, gen = I.is_principal()
-        assert ok and gen is not None
+        if not ok:
+            raise RuntimeError("an S-unit lattice vector is not principal")
         unit_gens.append(gen)
     class_gens: list[FieldElement] = []
-    for gvec, a in s_class_torsion_lifts(cg, S, p):
+    for gvec, a in scl.torsion_lifts(p):
         I = FracIdeal(field, dict(zip(S, a)))
         Ic = cg._ideal_from_fb_vector(gvec)
         J = Ic ** p * I.numerator_lattice() * I.denominator_lattice().conjugate()
         ok, gen = J.is_principal()
-        assert ok and gen is not None
+        if not ok:
+            raise RuntimeError("a lift of Cl(O_{K,S})[p] is not principal")
         gen = gen / I.denominator_lattice().norm()
         class_gens.append(gen)
     return FieldSelmerBasis(field, S, p, unit_gens, class_gens)
-
-
-def s_class_torsion_lifts(cg: ClassGroup, S: list[PrimeIdeal], p: int):
-    """For each basis vector c of Cl(O_{K,S})[p], yields the factor-base
-    vector of an ideal I_c in the class c and S-exponents a such that
-    I_c^p * prod over S of v^(a_v) is principal."""
-    quot = s_class_group(cg, S)
-    for coords in quot.p_torsion_coords(p):
-        Ic_vec = quot.element_vector(list(coords))  # coker coordinates of I_c
-        a = _solve_s_combination(cg, S, [-p * c for c in Ic_vec])
-        yield cg.coker.element_vector(Ic_vec), a
-
-
-def _solve_s_combination(cg: ClassGroup, S: list[PrimeIdeal], target) -> list[int]:
-    """Integers a_v with sum a_v [p_v] = target in Cl (target in coker
-    coordinates); assumes solvability."""
-    import itertools
-
-    if not S:
-        assert all(
-            t % d == 0 if d else t == 0 for t, d in zip(target, cg.coker.divisors)
-        )
-        return []
-    divisors = cg.coker.divisors
-    W = [cg.dlog_prime(pr) for pr in S]
-    # brute force over small exponent boxes (class numbers are desk scale)
-    h = max(cg.order, 1)
-    for radius in (h, 2 * h):
-        for combo in itertools.product(range(radius), repeat=len(S)):
-            acc = [sum(c * W[k][i] for k, c in enumerate(combo)) for i in range(cg.coker.ngens)]
-            if all(
-                (acc[i] - target[i]) % d == 0 if (d := divisors[i]) else acc[i] == target[i]
-                for i in range(cg.coker.ngens)
-            ):
-                return list(combo)
-    raise RuntimeError("no S-combination found for the requested class")

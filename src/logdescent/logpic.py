@@ -10,9 +10,9 @@ group, which makes torsion dimensions and equality decidable exactly.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
-from .ideals import (Cokernel, class_group, s_class_group, s_class_torsion_lifts,
-                     s_unit_lattice)
+from .ideals import Cokernel, class_group, s_class_group
 from .qfield import PrimeIdeal, QuadField
 
 
@@ -68,7 +68,6 @@ class LogPic:
         self.mults = {p: m for p, m in mults.items() if m > 1 and p not in self.S}
         self.places = sorted(self.mults, key=lambda p: p.sort_key())
         self.cg = class_group(field)
-        self.scl = s_class_group(self.cg, self.S)
         nv = len(self.places)
         ncg = self.cg.coker.ngens
         rels = []
@@ -184,11 +183,9 @@ class LogPic:
                 acc = [u + int(a) * w for u, w in zip(acc, t)]
         return self.scl_full.coords(acc)
 
-    @property
+    @cached_property
     def scl_full(self) -> Cokernel:
-        if not hasattr(self, "_scl_full"):
-            self._scl_full = s_class_group(self.cg, self.places + self.S)
-        return self._scl_full
+        return s_class_group(self.cg, self.places + self.S)
 
 
 class LogPicTorsion:
@@ -201,22 +198,24 @@ class LogPicTorsion:
         self.p = p
         self.group = LogPic(field, {pr: p for pr in self.S})
         cg = self.group.cg
+        scl = s_class_group(cg, self.S)
         # the first part of the torsion is (1/p) L / L where L is the lattice
         # of S-supported principal divisors, not (1/p)v itself: v may have a
         # class of order divisible by p
         gens = []
-        for vec in s_unit_lattice(cg, self.S):
+        for vec in scl.unit_lattice:
             gens.append(LogDivisor(
                 field, {pr: Fraction(e, p) for pr, e in zip(self.S, vec) if e}))
-        for gvec, a in s_class_torsion_lifts(cg, self.S, p):
+        for gvec, a in scl.torsion_lifts(p):
             coeffs = {cg.factor_base[i]: Fraction(e) for i, e in enumerate(gvec) if e}
             for pr, av in zip(self.S, a):
                 coeffs[pr] = coeffs.get(pr, Fraction(0)) + Fraction(av, p)
             gens.append(LogDivisor(field, coeffs))
         self.gens = gens
-        for g in gens:
-            assert self.group.is_zero(p * g)
-        assert len(gens) == self.group.coker.p_torsion_dim(p) == self.dim
+        if not all(self.group.is_zero(p * g) for g in gens):
+            raise RuntimeError("a logPic torsion generator is not p-torsion")
+        if len(gens) != self.group.coker.p_torsion_dim(p):
+            raise RuntimeError("the logPic torsion generators do not span logPic[p]")
 
     @property
     def dim(self) -> int:

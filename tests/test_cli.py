@@ -70,6 +70,28 @@ def test_json_determinism(capsys):
     assert obj["dims"]["sel_phi"] == 2
 
 
+def test_report_builds_each_s1_object_once(monkeypatch, capsys):
+    # H^1(U_1, mu_p), Cl(O_{K,S_1}) and logPic(X,S_1)[p] are built once per
+    # context, however many steps of the report read them
+    from logdescent import descent
+    calls = {}
+
+    def count(name):
+        f = getattr(descent, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return f(*args, **kwargs)
+        monkeypatch.setattr(descent, name, counted)
+
+    for name in ("field_selmer_basis", "s_class_group", "LogPicTorsion"):
+        count(name)
+    code, _, _ = _run(capsys, ["report", *ARGS_11A_47, "--point", "4,-1/2+1/2*sqrt(-47)",
+                               "--point=-2,-1/2+1/2*sqrt(-47)"])
+    assert code == 0
+    assert calls == {"field_selmer_basis": 1, "s_class_group": 1, "LogPicTorsion": 1}
+
+
 def test_search_json_lines(capsys):
     code, out, _ = _run(capsys, ["search", "--a2", "-1", "--a3", "1",
                                  "--a4", "-10", "--a6", "-20", "--p", "5",

@@ -1,4 +1,9 @@
+import itertools
 from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import primerange
 
 from logdescent.ideals import (
     FracIdeal,
@@ -11,6 +16,7 @@ from logdescent.ideals import (
     s_unit_lattice,
     theta_image_dim,
 )
+from logdescent.linalg import hnf, smith_normal_form
 from logdescent.qfield import make_field, prime_divisors, primes_above
 
 KNOWN_H = {
@@ -137,3 +143,62 @@ def test_s_unit_lattice_shape():
     for vec in L:
         I = FracIdeal(K, {pr: e for pr, e in zip(S, vec)})
         assert I.is_principal()[0]
+
+
+# -- the S-class map against its former, independent implementations ---------
+
+
+def _kernel_lattice_oracle(cg, S):
+    """HNF of {n in Z^S : sum n_v [v] = 0}, from its own Smith form of
+    [W | diag(d)] with the S columns first."""
+    n = cg.coker.ngens
+    if n == 0:
+        return [[int(i == j) for j in range(len(S))] for i in range(len(S))]
+    ncols = len(S) + n
+    A = [[0] * ncols for _ in range(n)]
+    for j, pr in enumerate(S):
+        for i, c in enumerate(cg.dlog_prime(pr)):
+            A[i][j] = c
+    for i, d in enumerate(cg.coker.divisors):
+        A[i][len(S) + i] = d
+    _, D, V = smith_normal_form(A)
+    rank = sum(1 for i in range(n) if D[i][i] != 0)
+    return hnf([[V[i][j] for i in range(len(S))] for j in range(rank, ncols)])
+
+
+def _s_combination_oracle(cg, S, target):
+    """The first a in product(range(h), repeat=|S|) with sum a_v [v] = target."""
+    W = [cg.dlog_prime(pr) for pr in S]
+    for combo in itertools.product(range(cg.order), repeat=len(S)):
+        if all((sum(c * w[i] for c, w in zip(combo, W)) - t) % d == 0
+               for i, (t, d) in enumerate(zip(target, cg.coker.divisors))):
+            return list(combo)
+    raise AssertionError("target not in the image of Z^S")
+
+
+S_CLASS_FIELDS = [-7, -5, -14, -21, -23, -26, -47, -65, -71, -89, -105,
+                  2, 10, 15, 79, 82, 145, 226, 229]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(S_CLASS_FIELDS), st.data())
+def test_s_class_map_matches_oracles(m, data):
+    K = make_field(m)
+    cg = class_group(K)
+    places = [pr for ell in primerange(2, 14) for pr in primes_above(K, ell)]
+    S = data.draw(st.lists(st.sampled_from(places), min_size=1, max_size=4, unique=True))
+    scl = s_class_group(cg, S)
+    assert scl.unit_lattice == _kernel_lattice_oracle(cg, S)
+    assert s_unit_lattice(cg, S) == scl.unit_lattice
+    # a solvable target: the class of a random S-combination, unreduced
+    a = data.draw(st.lists(st.integers(-30, 30), min_size=len(S), max_size=len(S)))
+    k = data.draw(st.lists(st.integers(-3, 3), min_size=cg.coker.ngens,
+                           max_size=cg.coker.ngens))
+    W = [cg.dlog_prime(pr) for pr in S]
+    target = [sum(av * w[i] for av, w in zip(a, W)) + ki * d
+              for i, (ki, d) in enumerate(zip(k, cg.coker.divisors))]
+    assert scl.s_combination(target) == _s_combination_oracle(cg, S, target)
+    for p in (3, 5):
+        for gvec, lift in scl.torsion_lifts(p):
+            Ic = cg.coker.coords(gvec)
+            assert lift == _s_combination_oracle(cg, S, [-p * c for c in Ic])

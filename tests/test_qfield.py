@@ -157,6 +157,36 @@ def test_residue_roots_brute_vs_large():
     assert sorted(rs) == sorted({a, b})
 
 
+def _large_residue_field(which):
+    """F_{79^2} (79 is inert in Q(i)) or F_4099, both past the 4096 cutoff
+    where roots() stops enumerating the field."""
+    if which == 0:
+        return ResidueField(primes_above(make_field(-1), 79)[0])
+    return ResidueField(primes_above(make_field(None), 4099)[0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 1), st.data())
+def test_residue_roots_large_fields_brute_force(which, data):
+    k = _large_residue_field(which)
+    assert k.q > 4096
+    elts = k.elements()
+    pick = st.integers(0, len(elts) - 1).map(elts.__getitem__)
+    if data.draw(st.booleans()):
+        # c * prod (x - r), so that roots, repeated ones too, do occur
+        cs = [data.draw(pick.filter(lambda c: not k.is_zero(c)))]
+        for r in data.draw(st.lists(pick, max_size=3)):
+            shifted = [k.zero()] + cs
+            cs = [k.sub(a, k.mul(r, b)) for a, b in zip(shifted, cs + [k.zero()])]
+    else:
+        cs = data.draw(st.lists(pick, max_size=4))
+    f = list(cs)
+    while f and k.is_zero(f[-1]):
+        f.pop()
+    brute = [x for x in elts if k.is_zero(k._eval(f, x))] if len(f) > 1 else []
+    assert k.roots(cs) == brute
+
+
 def test_reduce_invert_hensel():
     K = make_field(-47)
     pr = primes_above(K, 7)[0]
