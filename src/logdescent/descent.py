@@ -18,8 +18,7 @@ import sympy
 from .ellcurve import Curve, Point
 from .ideals import (FieldSelmerBasis, SClassGroup, class_group, field_selmer_basis,
                      s_class_group)
-from .isogeny import (PlaceClassification, classify_place, dual_isogeny,
-                      isogeny_from_kernel_point)
+from .isogeny import PlaceClassification, classify_place, isogeny_from_kernel_point
 from .linalg import fp_kernel, fp_rank, fp_solve
 from .localfield import LocalUnitGroup
 from .logpic import LogDivisor, LogPicTorsion
@@ -42,13 +41,15 @@ class DescentContext:
             raise ValueError("P is not a point of E'")
         if P.is_zero() or not (p * P).is_zero():
             raise ValueError("P is not a p-torsion point")
+        # z_phi^2 z_phihat^2 = p^2 needs Aut(E') = {+-1}
+        if not (Eprime.c4 and Eprime.c6):
+            raise ValueError("j = 0, 1728 not handled")
         self.field: QuadField = Eprime.field
         self.Eprime = Eprime
         self.P = P
         self.p = p
         self.phihat = isogeny_from_kernel_point(Eprime, P, p)
         self.E = self.phihat.codomain
-        self.phi = dual_isogeny(self.phihat)
         self.classifications = self._classify()
         self.S1 = [c.prime for c in self.classifications if c.in_S1]
         self.S2 = [c.prime for c in self.classifications if c.in_S2]
@@ -60,11 +61,9 @@ class DescentContext:
         for x in (self.E.disc, self.Eprime.disc, K(self.p)):
             for pr in prime_divisors(K, x):
                 supp[pr] = True
-        out = []
-        for pr in sorted(supp, key=lambda q: q.sort_key()):
-            out.append(classify_place(self.E, self.Eprime, self.phi,
-                                      self.phihat, pr, self.p))
-        return out
+        z2_phi = K(self.p * self.p) / self.phihat.z_squared
+        return [classify_place(self.E, self.Eprime, z2_phi, pr, self.p)
+                for pr in sorted(supp, key=lambda q: q.sort_key())]
 
     def _check_hypotheses(self) -> list[str]:
         fails = []

@@ -1,10 +1,14 @@
 """Cyclic p-isogenies from a rational kernel point: explicit rational maps,
 the dual isogeny, and Neron model scalings at finite places.
 
-The forward isogeny is built from the kernel polynomial (Velu); the dual is
-recovered by pushing the p-division polynomial through the forward x-map
-with a resultant, taking the radical, and matching the resulting codomain
-back to the source curve by an isomorphism.
+The descent uses one isogeny, built from the kernel polynomial (Velu). The
+scaling of its dual needs no second isogeny: z_psi * z_psihat = +-p for
+psihat o psi = [p], so z_psihat^2 = p^2 / z_psi^2 (curves with j != 0, 1728,
+whose only automorphisms are +-1). The dual itself is kept as a checked
+oracle for that identity: the p-division polynomial is pushed through the
+forward x-map with a resultant, the radical of the result is the dual's
+kernel polynomial, and the Velu codomain is matched back to the source curve
+by an isomorphism.
 """
 
 from __future__ import annotations
@@ -53,7 +57,8 @@ class Isogeny:
         Q = E2.point(X, Y)
         if self.iso is not None:
             Q = E2.map_point(Q, *self.iso)
-            assert Q.curve == self.codomain
+            if Q.curve != self.codomain:
+                raise ValueError("iso does not map onto the codomain")
         return Q
 
 
@@ -61,7 +66,8 @@ def velu(E: Curve, h: Poly, p: int) -> Isogeny:
     """Normalized quotient isogeny with kernel polynomial h (monic, degree
     (p-1)/2)."""
     K = E.field
-    assert h.degree == (p - 1) // 2 and h.lc() == K.one()
+    if h.degree != (p - 1) // 2 or h.lc() != K.one():
+        raise ValueError(f"kernel polynomial must be monic of degree {(p - 1) // 2}")
     x = Poly.x(K)
     t_poly = 6 * x * x + E.b2 * x + Poly(K, [E.b4])
     u_poly = Poly(K, [E.b6, 2 * E.b4, E.b2, 4])
@@ -110,7 +116,8 @@ def find_isomorphism(E1: Curve, E2: Curve) -> tuple:
         raise ValueError("j = 0, 1728 not handled")
     u2 = (E1.c6 / E2.c6) / (E1.c4 / E2.c4)
     u0 = sqrt_element(u2)
-    assert u0 is not None, "curves are not isomorphic over the base field"
+    if u0 is None:
+        raise ValueError("curves are not isomorphic over the base field")
     for u in (u0, -u0):
         s = (u * E2.a1 - E1.a1) / 2
         r = (u * u * E2.a2 - E1.a2 + s * E1.a1 + s * s) / 3
@@ -127,7 +134,8 @@ def dual_isogeny(phi: Isogeny) -> Isogeny:
     K = E.field
     psi_p = E.division_poly(p)
     g, rem = divmod(psi_p, phi.kernel_poly)
-    assert rem.is_zero()
+    if not rem.is_zero():
+        raise RuntimeError("kernel polynomial does not divide psi_p")
     # R(x) = Res_t(g(t), Nx(t) - x Dx(t)) = c * h_dual(x)^p
     deg = g.degree
     pts = []
@@ -139,32 +147,22 @@ def dual_isogeny(phi: Isogeny) -> Isogeny:
     R = interpolate(K, pts)
     Rsq = gcd(R, R.derivative())
     hdual = (R // Rsq).monic()
-    assert hdual.degree == (p - 1) // 2, hdual.degree
+    if hdual.degree != (p - 1) // 2:
+        raise RuntimeError(f"dual kernel polynomial of degree {hdual.degree}")
     psi = velu(E2, hdual, p)
     iso = find_isomorphism(psi.codomain, E)
     return Isogeny(E2, E, p, hdual, psi.Nx, psi.Dx, psi.codomain, iso)
 
 
-def isogeny_pair(E: Curve, P: Point, p: int) -> tuple[Isogeny, Isogeny]:
-    phi = isogeny_from_kernel_point(E, P, p)
-    phihat = dual_isogeny(phi)
-    z2 = phi.z_squared * phihat.z_squared
-    assert z2 == K_p_squared(E, p), f"z_phi^2 z_dual^2 = {z2}"
-    return phi, phihat
-
-
-def K_p_squared(E: Curve, p: int):
-    return E.field(p * p)
-
-
 # -- Neron scalings and place classification -------------------------------
 
 
-def neron_scaling(psi: Isogeny, ld_dom: LocalData, ld_cod: LocalData) -> Fraction:
-    """a_v(psi) = v(z) + v(u_dom) - v(u_cod) at the place of the data."""
-    v = ld_dom.prime.val
-    vz2 = v(psi.z_squared)
-    assert vz2 % 2 == 0
+def neron_scaling(z2: FieldElement, ld_dom: LocalData, ld_cod: LocalData) -> Fraction:
+    """a_v(psi) = v(z) + v(u_dom) - v(u_cod) at the place of the data, for
+    psi: dom -> cod with z_psi^2 = z2."""
+    vz2 = ld_dom.prime.val(z2)
+    if vz2 % 2:
+        raise RuntimeError(f"v(z^2) = {vz2} is odd")
     return Fraction(vz2, 2) + ld_dom.vu - ld_cod.vu
 
 
@@ -187,17 +185,20 @@ class PlaceClassification:
         return self.direction == "backward"
 
 
-def classify_place(E: Curve, E2: Curve, phi: Isogeny, phihat: Isogeny,
+def classify_place(E: Curve, E2: Curve, z2_phi: FieldElement,
                    pr: PrimeIdeal, p: int) -> PlaceClassification:
+    """The place pr for phi: E -> E2 with z_phi^2 = z2_phi; the dual's
+    scaling is a_v(phihat) = v(p) - a_v(phi)."""
     ld = tate(E, pr)
     ld2 = tate(E2, pr)
-    a_phi = neron_scaling(phi, ld, ld2)
-    a_dual = neron_scaling(phihat, ld2, ld)
     vp = pr.val(E.field(p))
-    assert a_phi + a_dual == vp, (a_phi, a_dual, vp)
-    assert a_phi >= 0 and a_dual >= 0
+    a_phi = neron_scaling(z2_phi, ld, ld2)
+    a_dual = vp - a_phi
+    if a_phi < 0 or a_dual < 0:
+        raise RuntimeError(f"negative Neron scaling ({a_phi}, {a_dual}) at {pr}")
     if ld.is_multiplicative:
-        assert ld2.is_multiplicative and ld.split == ld2.split
+        if not (ld2.is_multiplicative and ld.split == ld2.split):
+            raise RuntimeError(f"reduction types of E and E' differ at {pr}")
         if ld2.n == p * ld.n:
             direction = "forward"
         elif ld.n == p * ld2.n:

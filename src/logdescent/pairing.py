@@ -18,7 +18,7 @@ from .ellcurve import Curve, Point
 from .isogeny import tate
 from .logpic import LogDivisor, LogPic
 from .qfield import PrimeIdeal, QuadField, prime_divisors, primes_above
-from .tate import LocalData, component_index, e_entry
+from .tate import LocalData, _component_index, _e_entry, component_index
 
 
 def bad_places(E: Curve) -> list[PrimeIdeal]:
@@ -88,11 +88,13 @@ def log_pairing(E: Curve, Q: Point, R: Point) -> LogDivisor:
     coeffs = {}
     for pr in sorted(places, key=lambda p: p.sort_key()):
         ld = tate(E, pr)
-        eS = Fraction(ld.vu) if S.is_zero() else e_entry(ld, S, E)
-        val = eS - e_entry(ld, Q, E) - e_entry(ld, R, E) + Fraction(ld.vu)
+        # each point mapped onto curve_min, with its on-curve check, once
+        Sm, Qm, Rm = (ld.map_point(P, E) for P in (S, Q, R))
+        eS = Fraction(ld.vu) if S.is_zero() else _e_entry(ld, Sm)
+        val = eS - _e_entry(ld, Qm) - _e_entry(ld, Rm) + Fraction(ld.vu)
         if not ld.is_good:
-            jq = component_index(ld, Q, E)
-            jr = component_index(ld, R, E)
+            jq = _component_index(ld, Qm)
+            jr = _component_index(ld, Rm)
             val -= fibral_coefficient(ld, jq, jr)
         if val:
             coeffs[pr] = val

@@ -265,10 +265,14 @@ def tate_local_data(E_in: Curve, pr: PrimeIdeal) -> LocalData:
 
 def e_entry(ld: LocalData, P: Point, source: Curve):
     """e_v(P) = -(1/2) min(v(x), 0) on the minimal model; Fraction-valued."""
-    if P.is_zero():
+    return _e_entry(ld, ld.map_point(P, source))
+
+
+def _e_entry(ld: LocalData, Pm: Point):
+    """e_entry of Pm, a point already on curve_min."""
+    if Pm.is_zero():
         return Fraction(0)
-    vx = ld.prime.val(ld.map_point(P, source).x)
-    return Fraction(-min(vx, 0), 2)
+    return Fraction(-min(ld.prime.val(Pm.x), 0), 2)
 
 
 def _at_singular_point(ld: LocalData, Pm: Point) -> bool:
@@ -317,10 +321,12 @@ def component_index(ld: LocalData, P: Point, source: Curve) -> int:
     tables: In*: 1 = near end, 2/3 = far ends; IV/IV*: 1/2 the two
     branches; III/III*: 1 the non-identity end; I0*: 1..3 the legs.
     """
-    if P.is_zero():
-        return 0
-    Pm = ld.map_point(P, source)
-    if not _at_singular_point(ld, Pm):
+    return _component_index(ld, ld.map_point(P, source))
+
+
+def _component_index(ld: LocalData, Pm: Point) -> int:
+    """component_index of Pm, a point already on curve_min."""
+    if Pm.is_zero() or not _at_singular_point(ld, Pm):
         return 0
     v = ld.prime.val
     k = ld.residue_field

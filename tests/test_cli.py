@@ -141,6 +141,14 @@ def test_j_zero_rejected_under_optimize():
     assert "Traceback" not in proc.stderr
 
 
+def test_j_zero_guard_reads_the_input_curve(capsys):
+    # E' = 27a1 has j = 0; its quotient by <(3,4)> is 27a4, with j != 0
+    code, _, err = _run(capsys, ["classify", "--a3", "1", "--a6", "-7",
+                                 "--p", "3", "--P", "3,4"])
+    assert code == 1
+    assert "error: j = 0, 1728 not handled" in err
+
+
 def test_exit_code_hypothesis_failure(capsys):
     code, _, err = _run(capsys, ["selmer", "--a1", "-6", "--a3", "2",
                                  "--p", "3", "--P", "0,0"])

@@ -52,6 +52,30 @@ def _prime(K, ell, wbar=None):
     raise AssertionError
 
 
+def test_context_builds_one_isogeny(monkeypatch):
+    # the context reads z_phi^2 off z_phi^2 z_phihat^2 = p^2: it builds the
+    # Velu phihat from P and never the dual phi
+    import sys
+
+    from logdescent import isogeny, polyring
+    calls = {}
+    for mod, name in ((isogeny, "dual_isogeny"), (isogeny, "velu"), (polyring, "resultant")):
+        f = getattr(mod, name)
+        calls[name] = 0
+
+        def counted(*args, _f=f, _name=name, **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        # every binding, including the copies that 'from .x import y' leaves
+        for m in list(sys.modules.values()):
+            if getattr(m, "__name__", "").startswith("logdescent") \
+                    and getattr(m, name, None) is f:
+                monkeypatch.setattr(m, name, counted)
+    ctx = _ctx_11a(-47)
+    assert calls == {"dual_isogeny": 0, "velu": 1, "resultant": 0}
+    assert not hasattr(ctx, "phi")
+
+
 def test_classification_11a_sqrt_m47():
     ctx = _ctx_11a(-47)
     assert [pr.label() for pr in ctx.S1] == ["(11)"]

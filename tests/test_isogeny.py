@@ -1,18 +1,26 @@
 from fractions import Fraction
 
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+
 from logdescent.ellcurve import curve_from_rational
 from logdescent.isogeny import (
     classify_place,
     dual_isogeny,
     find_isomorphism,
     isogeny_from_kernel_point,
-    isogeny_pair,
     neron_scaling,
     tate,
 )
-from logdescent.qfield import make_field, primes_above
+from logdescent.qfield import make_field, prime_divisors, primes_above
 
 Q = make_field(None)
+
+
+def isogeny_pair(E, P, p):
+    """phi: E -> E/<P> by Velu and its explicit dual."""
+    phi = isogeny_from_kernel_point(E, P, p)
+    return phi, dual_isogeny(phi)
 
 
 def pair_11a():
@@ -77,7 +85,7 @@ def test_neron_scalings_and_classification():
     E2 = phi.codomain
 
     pr11 = primes_above(Q, 11)[0]
-    cl11 = classify_place(E, E2, phi, phihat, pr11, 5)
+    cl11 = classify_place(E, E2, phi.z_squared, pr11, 5)
     # I5 -> I1: backward at 11
     assert cl11.ld_E.kodaira == "I5" and cl11.ld_E2.kodaira == "I1"
     assert cl11.direction == "backward"
@@ -85,13 +93,13 @@ def test_neron_scalings_and_classification():
     assert cl11.a_phi == 0 and cl11.a_dual == 0
 
     pr5 = primes_above(Q, 5)[0]
-    cl5 = classify_place(E, E2, phi, phihat, pr5, 5)
+    cl5 = classify_place(E, E2, phi.z_squared, pr5, 5)
     assert cl5.ld_E.is_good and cl5.ld_E2.is_good
     assert cl5.a_phi + cl5.a_dual == 1
     assert cl5.direction in ("forward", "backward")
 
     pr7 = primes_above(Q, 7)[0]
-    cl7 = classify_place(E, E2, phi, phihat, pr7, 5)
+    cl7 = classify_place(E, E2, phi.z_squared, pr7, 5)
     assert cl7.direction == "good" and cl7.a_phi == 0 and cl7.a_dual == 0
 
 
@@ -102,7 +110,51 @@ def test_quotient_by_11a3_point_is_forward_at_11():
     assert P.order() == 5
     phi, phihat = isogeny_pair(E, P, 5)
     pr11 = primes_above(Q, 11)[0]
-    cl = classify_place(E, phi.codomain, phi, phihat, pr11, 5)
+    cl = classify_place(E, phi.codomain, phi.z_squared, pr11, 5)
     assert cl.ld_E.kodaira == "I1" and cl.ld_E2.kodaira == "I5"
     assert cl.direction == "forward" and cl.in_S1
     assert tate(phi.codomain, pr11).c == 5 * tate(E, pr11).c
+
+
+# the descent's isogenies phihat: E' -> E'/<P>, as (a-invariants of E', p, P)
+ISOGENIES = {
+    "11a1": ((0, -1, 1, -10, -20), 5, (5, 5)),
+    "11a3": ((0, -1, 1, 0, 0), 5, (0, 0)),
+    "35a": ((0, 1, 1, 9, 1), 3, (1, 3)),
+    "158": ((1, 1, 1, -420, 3109), 5, (13, -15)),
+}
+RADICANDS = [m for m in range(-299, 300)
+             if m not in (0, 1) and all(m % (k * k) for k in range(2, 18))]
+
+
+# no shrinking: each example builds an explicit dual, and a failing one is
+# already a small (isogeny, field) pair
+@settings(max_examples=15, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(st.sampled_from(sorted(ISOGENIES)), st.sampled_from(RADICANDS))
+def test_dual_scaling_from_the_z_identity(label, m):
+    # the descent reads z_phi^2 off z_phi^2 z_phihat^2 = p^2 instead of
+    # building phi; the explicit dual is the oracle for that and for the
+    # scalings and directions classify_place derives from it
+    ainvs, p, (px, py) = ISOGENIES[label]
+    K = make_field(m)
+    Eprime = curve_from_rational(K, ainvs)
+    phihat, phi = isogeny_pair(Eprime, Eprime.point(K(px), K(py)), p)
+    E = phihat.codomain
+    assert phi.domain == E and phi.codomain == Eprime
+    assert phi.z_squared * phihat.z_squared == K(p * p)
+    z2_phi = K(p * p) / phihat.z_squared
+    places = set()
+    for x in (E.disc, Eprime.disc, K(p)):
+        places.update(prime_divisors(K, x))
+    for pr in places:
+        ld, ld2 = tate(E, pr), tate(Eprime, pr)
+        a_phi = neron_scaling(phi.z_squared, ld, ld2)
+        a_dual = neron_scaling(phihat.z_squared, ld2, ld)
+        cl = classify_place(E, Eprime, z2_phi, pr, p)
+        assert (cl.a_phi, cl.a_dual) == (a_phi, a_dual)
+        if pr.val(K(p)) and not ld.is_multiplicative:
+            # the only places whose direction the scalings decide
+            expected = ("mixed" if a_phi and a_dual
+                        else "forward" if not a_dual else "backward")
+            assert cl.direction == expected

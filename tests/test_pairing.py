@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from logdescent.pairing import (
     pairing_group,
 )
 from logdescent.qfield import make_field, primes_above
-from logdescent.tate import component_index
+from logdescent.tate import LocalData, component_index
 
 
 def _solve_fibral(edges, nc, jq):
@@ -133,6 +134,21 @@ def test_quadratic_example_pairing_values(worked_curves):
     assert G.equal(PQ, log_pairing(E, Q, P))
     assert G.equal(log_pairing(E, P, P), LogDivisor(K, {p2: Fraction(4, 5), p2b: Fraction(4, 5)}))
     assert G.equal(log_pairing(E, Q, Q), LogDivisor(K, {p2: Fraction(1, 4), p2b: Fraction(1, 4)}))
+
+
+def test_log_pairing_maps_each_point_once_per_place(worked_curves, monkeypatch):
+    E, P, (Q,) = worked_curves["158"]
+    maps = Counter()
+    map_point = LocalData.map_point
+
+    def counted(ld, pt, source):
+        maps[ld.prime, pt] += 1
+        return map_point(ld, pt, source)
+    monkeypatch.setattr(LocalData, "map_point", counted)
+    log_pairing(E, P, Q)
+    # Q, R and S = Q + R at every place of the sum
+    assert len(maps) >= 3 * len(bad_places(E))
+    assert max(maps.values()) == 1
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
