@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-import sympy
-
 from .ellcurve import Curve, Point
 from .ideals import (FieldSelmerBasis, SClassGroup, class_group, field_selmer_basis,
                      s_class_group)
@@ -22,6 +20,7 @@ from .isogeny import PlaceClassification, classify_place, isogeny_from_kernel_po
 from .linalg import fp_kernel, fp_rank, fp_solve
 from .localfield import LocalUnitGroup
 from .logpic import LogDivisor, LogPicTorsion
+from .ntheory import isprime, primerange
 from .pairing import log_pairing
 from .qfield import (FieldElement, PrimeIdeal, QuadField, ResidueField,
                      _squarefree_part, make_field, prime_divisors, primes_above)
@@ -35,7 +34,7 @@ class DescentContext:
     """phi: E -> E' of degree p with ker(phihat) = <P>, P in E'(K)[p]."""
 
     def __init__(self, Eprime: Curve, P: Point, p: int):
-        if p == 2 or not sympy.isprime(p):
+        if p == 2 or not isprime(p):
             raise ValueError("p must be an odd prime")
         if P.curve != Eprime:
             raise ValueError("P is not a point of E'")
@@ -154,8 +153,8 @@ class H1Coordinates:
 
     def _candidates(self):
         K = self.field
-        for ell in range(2, self.CAP):
-            if (ell - 1) % self.p or not sympy.isprime(ell):
+        for ell in primerange(self.p + 1, self.CAP):
+            if (ell - 1) % self.p:
                 continue
             for w in primes_above(K, ell):
                 if (ell ** w.f - 1) % self.p == 0:

@@ -13,6 +13,7 @@ import math
 from fractions import Fraction
 
 from .linalg import hnf, smith_normal_form
+from .ntheory import primerange
 from .qfield import (
     FieldElement,
     PrimeIdeal,
@@ -494,8 +495,6 @@ def class_group(field: QuadField) -> ClassGroup:
         cg = ClassGroup(field, [], Cokernel(0, []))
         _CLASS_GROUP_CACHE[field.disc] = cg
         return cg
-    from sympy import primerange
-
     disc = field.disc
     if disc < 0:
         mink = math.isqrt(4 * abs(disc)) // 3 + 2  # >= 2*sqrt(|d|)/pi

@@ -17,6 +17,7 @@ from fractions import Fraction
 from .ellcurve import Curve, Point
 from .isogeny import tate
 from .logpic import LogDivisor, LogPic
+from .ntheory import factorint
 from .qfield import PrimeIdeal, QuadField, prime_divisors, primes_above
 from .tate import LocalData, _component_index, _e_entry, component_index
 
@@ -59,8 +60,6 @@ def fibral_coefficient(ld: LocalData, jq: int, jr: int) -> Fraction:
 
 def _denominator_places(K: QuadField, pts: list[Point]) -> set[PrimeIdeal]:
     from math import lcm
-
-    from sympy import factorint
 
     out: set[PrimeIdeal] = set()
     for P in pts:

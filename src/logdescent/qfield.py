@@ -12,14 +12,14 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .ntheory import factorint, isprime, kronecker, sqrt_mod
+
 INF = 10 ** 9  # valuation of zero
 
 
 def _squarefree_part(r) -> tuple[int, Fraction]:
     """r = s^2 * m for a nonzero rational r, with m a squarefree integer and
     s > 0 rational; returns (m, s)."""
-    from sympy import factorint
-
     r = Fraction(r)
     exps = factorint(abs(r.numerator))
     for q, e in factorint(r.denominator).items():
@@ -29,32 +29,6 @@ def _squarefree_part(r) -> tuple[int, Fraction]:
         m *= q ** (e % 2)
         s *= Fraction(q) ** (e // 2)
     return m, s
-
-
-def kronecker(a: int, n: int) -> int:
-    """Kronecker symbol (a|n)."""
-    if n == 0:
-        return 1 if abs(a) == 1 else 0
-    if n < 0:
-        return (-1 if a < 0 else 1) * kronecker(a, -n)
-    t = 1
-    while n % 2 == 0:
-        n //= 2
-        if a % 2 == 0:
-            return 0
-        if a % 8 in (3, 5):
-            t = -t
-    a %= n
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                t = -t
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            t = -t
-        a %= n
-    return t if n == 1 else 0
 
 
 class QuadField:
@@ -493,8 +467,6 @@ def _int_val(n: int, ell: int) -> int:
 
 def primes_above(field: QuadField, ell: int) -> list[PrimeIdeal]:
     """The primes of K above the rational prime ell, deterministic order."""
-    from sympy import isprime
-
     if not isprime(ell):
         raise ValueError(f"{ell} is not prime")
     if field.is_rational:
@@ -506,21 +478,18 @@ def primes_above(field: QuadField, ell: int) -> list[PrimeIdeal]:
     if ell == 2:
         roots = sorted(r for r in range(2) if (r * r - tr * r + nm) % 2 == 0)
     else:
-        from sympy.ntheory import sqrt_mod
-
-        s = int(sqrt_mod((tr * tr - 4 * nm) % ell, ell))
+        s = sqrt_mod(tr * tr - 4 * nm, ell)
         inv2 = pow(2, -1, ell)
-        roots = sorted({int((tr + s) * inv2 % ell), int((tr - s) * inv2 % ell)})
+        roots = sorted({(tr + s) * inv2 % ell, (tr - s) * inv2 % ell})
     if sym == 0:
         return [PrimeIdeal(field, ell, "ramified", roots[0])]
-    assert len(roots) == 2
+    if len(roots) != 2:
+        raise RuntimeError(f"split prime {ell} gave {len(roots)} root(s)")
     return [PrimeIdeal(field, ell, "split", r) for r in roots]
 
 
 def prime_divisors(field: QuadField, x: FieldElement) -> dict[PrimeIdeal, int]:
     """Factor the principal fractional ideal (x) into primes."""
-    from sympy import factorint
-
     if not x:
         raise ValueError("cannot factor the zero ideal")
     n = x.norm()

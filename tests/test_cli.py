@@ -119,12 +119,16 @@ def test_exit_code_input_errors(capsys):
     assert code == 1
 
 
+def _python(*args):
+    """A fresh interpreter that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(logdescent.__file__)))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+
+
 def _run_optimized(argv):
     """The CLI in a python -O subprocess, which strips assert statements."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(logdescent.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, "-O", "-m", "logdescent.cli", *argv],
-                          capture_output=True, text=True, env=env)
+    return _python("-O", "-m", "logdescent.cli", *argv)
 
 
 def test_non_torsion_point_rejected_under_optimize():
@@ -139,6 +143,31 @@ def test_j_zero_rejected_under_optimize():
     assert proc.returncode == 1
     assert "error: j = 0, 1728 not handled" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_p_must_be_an_odd_prime(capsys):
+    for p in (0, 1, -5, 9, 561, 3825123056546413051):
+        code, _, err = _run(capsys, ["classify", *ARGS_11A_47[:-4], "--p", str(p),
+                                     "--P", "5,5"])
+        assert code == 1, p
+        assert "error: p must be an odd prime" in err, p
+    proc = _run_optimized(["classify", *ARGS_11A_47[:-4], "--p", "561", "--P", "5,5"])
+    assert proc.returncode == 1
+    assert "error: p must be an odd prime" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_pipeline_never_imports_sympy():
+    # sympy is a test oracle only; a function-local import would show here too
+    runs = [["report", *ARGS_11A_47],
+            ["pairing", *ARGS_158C, "--point", "13,-15", "--point", "13,-15"]]
+    proc = _python("-c", "import contextlib, io, sys\n"
+                         "from logdescent.cli import main\n"
+                         f"for argv in {runs!r}:\n"
+                         "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                         "        assert main(argv) == 0, argv\n"
+                         "assert 'sympy' not in sys.modules\n")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_j_zero_guard_reads_the_input_curve(capsys):

@@ -76,6 +76,15 @@ def test_kronecker_matches_splitting():
                 assert len(prs) == 1 and prs[0].kind == "ramified"
 
 
+def test_split_prime_with_one_root_raises(monkeypatch):
+    # an internal invariant, raised rather than asserted so that -O keeps it
+    from logdescent import qfield
+
+    monkeypatch.setattr(qfield, "sqrt_mod", lambda a, p: 0)
+    with pytest.raises(RuntimeError, match="split prime 3"):
+        primes_above(make_field(-47), 3)
+
+
 def test_valuations_sum_to_norm():
     import sympy
 
