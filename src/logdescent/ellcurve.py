@@ -66,7 +66,7 @@ class Curve:
         return isinstance(other, Curve) and self.field == other.field and self.ainvs == other.ainvs
 
     def __hash__(self):
-        return hash((self.field.disc, tuple((a.a, a.b) for a in self.ainvs)))
+        return hash(self.ainvs)
 
     def __repr__(self):
         return f"Curve[{', '.join(str(a) for a in self.ainvs)}] over disc {self.field.disc}"
@@ -186,7 +186,7 @@ class Point:
     def __hash__(self):
         if self.is_zero():
             return hash((self.curve, None))
-        return hash((self.curve, (self.x.a, self.x.b, self.y.a, self.y.b)))
+        return hash((self.curve, self.x, self.y))
 
     def __neg__(self):
         if self.is_zero():

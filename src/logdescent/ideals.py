@@ -42,15 +42,10 @@ class LatticeIdeal:
 
     @classmethod
     def from_elements(cls, field: QuadField, gens: list[FieldElement]) -> "LatticeIdeal":
-        coords = []
-        dens = []
-        for g in gens:
-            for h in (g, g * field.omega()):
-                A, B = h.omega_coords()
-                coords.append((A, B))
-                dens.append(math.lcm(A.denominator, B.denominator))
-        den = math.lcm(*dens) if dens else 1
-        rows = [[int(A * den), int(B * den)] for A, B in coords]
+        w = field.omega()
+        coords = [h.integer_coords() for g in gens for h in (g, g * w)]
+        den = math.lcm(*(d for _, _, d in coords)) if coords else 1
+        rows = [[A * (den // d), B * (den // d)] for A, B, d in coords]
         return cls(field, rows, den)
 
     @classmethod
@@ -64,10 +59,7 @@ class LatticeIdeal:
 
     def basis_elements(self) -> tuple[FieldElement, FieldElement]:
         K = self.field
-        w = K.omega()
-        b1 = (K(self.rows[0][0]) + K(self.rows[0][1]) * w) / self.den
-        b2 = (K(self.rows[1][0]) + K(self.rows[1][1]) * w) / self.den
-        return b1, b2
+        return K.from_omega(*self.rows[0], self.den), K.from_omega(*self.rows[1], self.den)
 
     def norm(self) -> Fraction:
         det = abs(self.rows[0][0] * self.rows[1][1] - self.rows[0][1] * self.rows[1][0])
@@ -202,6 +194,7 @@ def _real_cycle_search(I: LatticeIdeal, collect_units: bool = False):
         u, v = M[0][0], M[1][0]
         return u * b1 + v * b2
 
+    x0 = candidate()
     steps = 0
     while True:
         if abs(A) == 1:
@@ -215,6 +208,9 @@ def _real_cycle_search(I: LatticeIdeal, collect_units: bool = False):
         M = _mat_mul(M, [[0, -1], [1, s]])
         steps += 1
         if (A, B, C) == start:
+            if collect_units:
+                # the closed cycle multiplied the start basis by a unit of norm +1
+                units.append(candidate() / x0)
             break
         if steps > 10 * D + 100:
             raise RuntimeError("reduction cycle failed to close")
@@ -526,7 +522,6 @@ def class_group(field: QuadField) -> ClassGroup:
         relations.append(vec)
 
     K = field
-    w = K.omega()
 
     def smooth_relation(x: FieldElement) -> list[int] | None:
         n = int(x.norm())
@@ -551,7 +546,7 @@ def class_group(field: QuadField) -> ClassGroup:
             for v in range(1, bound + 1):
                 if math.gcd(u, v) != 1:
                     continue
-                vec = smooth_relation(K(u) + K(v) * w)
+                vec = smooth_relation(K.from_omega(u, v))
                 if vec is not None:
                     relations.append(vec)
         coker = Cokernel(len(fb), relations)

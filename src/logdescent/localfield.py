@@ -111,7 +111,7 @@ class LocalUnitGroup:
         out = []
         for a in range(mod):
             for b in range(mod):
-                x = K(a) + K(b) * K.omega()
+                x = K.from_omega(a, b)
                 if pr.val(x) == 0:
                     out.append(reduce_mod(x, pr, N))
         return out

@@ -59,16 +59,13 @@ def fibral_coefficient(ld: LocalData, jq: int, jr: int) -> Fraction:
 
 
 def _denominator_places(K: QuadField, pts: list[Point]) -> set[PrimeIdeal]:
-    from math import lcm
-
     out: set[PrimeIdeal] = set()
     for P in pts:
         if P.is_zero() or not P.x:
             continue
         # only places with v(x) < 0 matter; those divide the coordinate
         # denominators, so the (often huge) numerator is never factored
-        den = lcm(P.x.a.denominator, P.x.b.denominator)
-        for ell in factorint(den):
+        for ell in factorint(P.x.D):
             for pr in primes_above(K, ell):
                 if pr.val(P.x) < 0:
                     out.add(pr)

@@ -44,7 +44,7 @@ class Poly:
         return self.field == other.field and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.field.disc, tuple((c.a, c.b) for c in self.coeffs)))
+        return hash((self.field.disc, tuple(self.coeffs)))
 
     def __bool__(self):
         return bool(self.coeffs)

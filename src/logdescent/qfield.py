@@ -1,6 +1,8 @@
 """Exact arithmetic in Q and quadratic fields Q(sqrt(D)).
 
-Elements are pairs of rationals a + b*sqrt(m) with m the squarefree radicand.
+Elements are (A + B*sqrt(m))/D with m the squarefree radicand and integers
+A, B, D, D > 0, gcd(A, B, D) = 1: each operation is integer arithmetic and one
+gcd (Cohen, GTM 138, 4.2). The rational coordinates a, b are read-only views.
 Primes are represented explicitly with their splitting data; valuations and
 residue maps are computed exactly (split primes via Hensel-lifted roots).
 """
@@ -66,15 +68,24 @@ class QuadField:
         return self.degree == 2 and self.disc < 0
 
     def __call__(self, a, b=0) -> "FieldElement":
-        return FieldElement(self, Fraction(a), Fraction(b))
+        if type(a) is int and type(b) is int:
+            return FieldElement(self, a, b)
+        a, b = Fraction(a), Fraction(b)
+        D = math.lcm(a.denominator, b.denominator)
+        return FieldElement(self, a.numerator * (D // a.denominator),
+                            b.numerator * (D // b.denominator), D)
+
+    def from_omega(self, A: int, B: int, den: int = 1) -> "FieldElement":
+        """(A + B*omega)/den for integers A, B, den."""
+        if self.disc % 4 == 1:
+            return FieldElement(self, 2 * A + B, B, 2 * den)
+        return FieldElement(self, A, B, den)
 
     def sqrt_gen(self) -> "FieldElement":
-        return FieldElement(self, Fraction(0), Fraction(1))
+        return FieldElement(self, 0, 1)
 
     def omega(self) -> "FieldElement":
-        if self.disc % 4 == 1:
-            return FieldElement(self, Fraction(1, 2), Fraction(1, 2))
-        return self.sqrt_gen()
+        return self.from_omega(0, 1)
 
     def zero(self):
         return self(0)
@@ -120,42 +131,60 @@ def make_field(D: int | None) -> QuadField:
 
 
 class FieldElement:
-    """a + b*sqrt(m), exact."""
+    """(A + B*sqrt(m))/D for integers A, B, D with D > 0 and gcd(A, B, D) = 1."""
 
-    __slots__ = ("field", "a", "b")
+    __slots__ = ("field", "A", "B", "D")
 
-    def __init__(self, field: QuadField, a: Fraction, b: Fraction = Fraction(0)):
-        if field.is_rational and b != 0:
+    def __init__(self, field: QuadField, A: int, B: int = 0, D: int = 1):
+        if B and field.degree == 1:
             raise ValueError("rational field has no irrational part")
+        if D <= 0:
+            if not D:
+                raise ZeroDivisionError("zero denominator")
+            A, B, D = -A, -B, -D
+        g = math.gcd(A, B, D)
+        if g != 1:
+            A, B, D = A // g, B // g, D // g
         self.field = field
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        self.A, self.B, self.D = A, B, D
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.A, self.D)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.B, self.D)
 
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("element of a different field")
             return other
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        return FieldElement(self.field, Fraction(other))
+        if isinstance(other, int):
+            return FieldElement(self.field, other)
+        if isinstance(other, Fraction):
+            return FieldElement(self.field, other.numerator, 0, other.denominator)
+        return NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return FieldElement(self.field, self.a + o.a, self.b + o.b)
+        return FieldElement(self.field, self.A * o.D + o.A * self.D,
+                            self.B * o.D + o.B * self.D, self.D * o.D)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, -self.a, -self.b)
+        return FieldElement(self.field, -self.A, -self.B, self.D)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self + (-o)
+        return FieldElement(self.field, self.A * o.D - o.A * self.D,
+                            self.B * o.D - o.B * self.D, self.D * o.D)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -167,46 +196,47 @@ class FieldElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        m = self.field.radicand
-        return FieldElement(
-            self.field,
-            self.a * o.a + self.b * o.b * m,
-            self.a * o.b + self.b * o.a,
-        )
+        return FieldElement(self.field, self.A * o.A + self.B * o.B * self.field.radicand,
+                            self.A * o.B + self.B * o.A, self.D * o.D)
 
     __rmul__ = __mul__
 
     def conj(self) -> "FieldElement":
-        return FieldElement(self.field, self.a, -self.b)
+        return FieldElement(self.field, self.A, -self.B, self.D)
 
     def norm(self) -> Fraction:
-        return self.a * self.a - self.b * self.b * self.field.radicand
+        return Fraction(self.A * self.A - self.B * self.B * self.field.radicand, self.D * self.D)
 
     def trace(self) -> Fraction:
-        return 2 * self.a
+        return Fraction(2 * self.A, self.D)
 
     def inverse(self) -> "FieldElement":
-        n = self.norm()
+        n = self.A * self.A - self.B * self.B * self.field.radicand
         if n == 0:
             raise ZeroDivisionError("zero element")
-        return FieldElement(self.field, self.a / n, -self.b / n)
+        return FieldElement(self.field, self.A * self.D, -self.B * self.D, n)
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self * o.inverse()
+        # x/y = x * D_y * conj(A_y + B_y*sqrt(m)) / (A_y^2 - m*B_y^2)
+        n = o.A * o.A - o.B * o.B * self.field.radicand
+        if n == 0:
+            raise ZeroDivisionError("zero element")
+        return FieldElement(self.field, (self.A * o.A - self.B * o.B * self.field.radicand) * o.D,
+                            (self.B * o.A - self.A * o.B) * o.D, self.D * n)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return o * self.inverse()
+        return o / self
 
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        r = FieldElement(self.field, Fraction(1))
+        r = FieldElement(self.field, 1)
         base = self
         while n:
             if n & 1:
@@ -222,32 +252,31 @@ class FieldElement:
             return NotImplemented
         if o is NotImplemented:
             return NotImplemented
-        return self.a == o.a and self.b == o.b
+        return self.A == o.A and self.B == o.B and self.D == o.D
 
     def __hash__(self):
-        return hash((self.field.disc, self.a, self.b))
+        return hash((self.field.disc, self.A, self.B, self.D))
 
     def __bool__(self):
-        return self.a != 0 or self.b != 0
+        return self.A != 0 or self.B != 0
 
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self.B == 0
 
     def omega_coords(self) -> tuple[Fraction, Fraction]:
         """Coordinates over the integral basis (1, omega)."""
-        if self.field.is_rational:
-            return self.a, Fraction(0)
         if self.field.disc % 4 == 1:
-            return self.a - self.b, 2 * self.b
+            return Fraction(self.A - self.B, self.D), Fraction(2 * self.B, self.D)
         return self.a, self.b
 
     def integer_coords(self) -> tuple[int, int, int]:
         """(A, B, den) with self = (A + B*omega)/den, gcd(A, B, den) = 1."""
-        ca, cb = self.omega_coords()
-        den = math.lcm(ca.denominator, cb.denominator)
-        A, B = int(ca * den), int(cb * den)
-        g = math.gcd(math.gcd(abs(A), abs(B)), den)
-        return A // g, B // g, den // g
+        if self.field.disc % 4 != 1 or not self.B:
+            return self.A, self.B, self.D
+        # sqrt(m) = 2*omega - 1
+        A, B, D = self.A - self.B, 2 * self.B, self.D
+        g = math.gcd(A, B, D)
+        return A // g, B // g, D // g
 
     def __repr__(self):
         return format_element(self)
@@ -335,7 +364,7 @@ def parse_element(field: QuadField, s: str) -> FieldElement:
             b = Fraction(-1)
         else:
             b = Fraction(braw)
-    return FieldElement(field, a, b)
+    return field(a, b)
 
 
 @dataclass(frozen=True)
@@ -397,7 +426,8 @@ class PrimeIdeal:
     def omega_root_mod(self, N: int) -> int:
         """Root of the minimal polynomial of omega mod ell^N lifting wbar
         (split primes only)."""
-        assert self.kind == "split"
+        if self.kind != "split":
+            raise ValueError(f"omega_root_mod needs a split prime, not {self.kind} {self}")
         tr, nm = self.field.omega_trace, self.field.omega_norm
         ell = self.ell
         W, prec = self.wbar, 1
@@ -430,7 +460,8 @@ class PrimeIdeal:
         tr, nm = self.field.omega_trace, self.field.omega_norm
         normv = _int_val(A * A + A * B * tr + B * B * nm, self.ell)
         if self.kind == "inert":
-            assert normv % 2 == 0
+            if normv % 2:
+                raise RuntimeError(f"odd norm valuation {normv} at the inert prime {self}")
             return normv // 2 - vden
         if self.kind == "ramified":
             return normv - vden
@@ -603,7 +634,8 @@ class ResidueField:
             return (c * pow(den_unit, -1, self.ell)) % self.ell
         if k:
             # ell^k divides A + B*omega in O_K for non-split kinds
-            assert A % self.ell ** k == 0 and B % self.ell ** k == 0
+            if A % self.ell ** k or B % self.ell ** k:
+                raise RuntimeError(f"{x} is integral at {pr} but its coordinates are not")
             A //= self.ell ** k
             B //= self.ell ** k
         dinv = pow(den_unit, -1, self.ell)
@@ -617,7 +649,7 @@ class ResidueField:
         K = self.prime.field
         if self.f == 1:
             return K(xbar)
-        return K(xbar[0]) + K(xbar[1]) * K.omega()
+        return K.from_omega(*xbar)
 
     def zeta(self, p: int):
         """A generator of mu_p for p | q - 1: the first g^((q-1)/p) != 1 with
@@ -786,11 +818,7 @@ def reduce_mod(x: FieldElement, prime: PrimeIdeal, N: int) -> FieldElement:
         raise ValueError("denominator not invertible for coefficient reduction")
     mod = prime.ell ** N
     dinv = pow(den % mod, -1, mod)
-    A, B = (A * dinv) % mod, (B * dinv) % mod
-    K = prime.field
-    if K.is_rational:
-        return K(A)
-    return K(A) + K(B) * K.omega()
+    return prime.field.from_omega((A * dinv) % mod, (B * dinv) % mod)
 
 
 def invert_mod(x: FieldElement, prime: PrimeIdeal, N: int) -> FieldElement:
@@ -825,7 +853,8 @@ def hensel_root(coeffs: list[FieldElement], prime: PrimeIdeal, root0: FieldEleme
         return acc
 
     x = root0
-    assert prime.val(ev(x)) >= 1 and prime.val(dev(x)) == 0
+    if prime.val(ev(x)) < 1 or prime.val(dev(x)) != 0:
+        raise ValueError(f"{root0} is not a simple root modulo {prime}")
     prec = 1
     while prec < N:
         prec = min(2 * prec, N)
@@ -833,5 +862,6 @@ def hensel_root(coeffs: list[FieldElement], prime: PrimeIdeal, root0: FieldEleme
         x = x - ev(x) * inv
         coefN = (prec + prime.e - 1) // prime.e + 1
         x = reduce_mod(x, prime, coefN)
-    assert prime.val(ev(x)) >= N
+    if prime.val(ev(x)) < N:
+        raise RuntimeError(f"Hensel lift at {prime} fell short of precision {N}")
     return x

@@ -145,6 +145,33 @@ def test_j_zero_rejected_under_optimize():
     assert "Traceback" not in proc.stderr
 
 
+def test_selmer_over_a_norm_plus_one_real_field(capsys):
+    # the fundamental unit 170+39*sqrt(19) has norm +1
+    code, out, _ = _run(capsys, ["selmer", "--D", "19", *ARGS_11A_47[2:]])
+    assert code == 0
+    assert "170+39*sqrt(19)" in out
+
+
+def test_field_arithmetic_checks_survive_optimize():
+    # qfield raises its precondition and invariant errors, never asserts them
+    proc = _python("-O", "-c", "import sys\n"
+                               "from logdescent.qfield import hensel_root, make_field, primes_above\n"
+                               "assert False, 'asserts are on'\n"
+                               "K = make_field(2)\n"
+                               "inert, split = primes_above(K, 5)[0], primes_above(K, 7)[0]\n"
+                               "for bad in (lambda: inert.omega_root_mod(3),\n"
+                               "            lambda: hensel_root([K(-2), K(0), K(1)], split, K(0), 4)):\n"
+                               "    try:\n"
+                               "        bad()\n"
+                               "    except ValueError:\n"
+                               "        continue\n"
+                               "    sys.exit(1)\n")
+    assert proc.returncode == 0, proc.stderr
+    proc = _run_optimized(["selmer", "--D", "19", *ARGS_11A_47[2:]])
+    assert proc.returncode == 0, proc.stderr
+    assert "170+39*sqrt(19)" in proc.stdout
+
+
 def test_p_must_be_an_odd_prime(capsys):
     for p in (0, 1, -5, 9, 561, 3825123056546413051):
         code, _, err = _run(capsys, ["classify", *ARGS_11A_47[:-4], "--p", str(p),

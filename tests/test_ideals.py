@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -202,3 +203,38 @@ def test_s_class_map_matches_oracles(m, data):
         for gvec, lift in scl.torsion_lifts(p):
             Ic = cg.coker.coords(gvec)
             assert lift == _s_combination_oracle(cg, S, [-p * c for c in Ic])
+
+
+def _continued_fraction_unit(m):
+    """p - q*conj(omega) for the convergent p/q that ends the first period of
+    the continued fraction of omega = sqrt(m) or (1 + sqrt(m))/2 (Cohen 5.7)."""
+    s = math.isqrt(m)
+    P, Q = (1, 2) if m % 4 == 1 else (0, 1)  # omega = (P + sqrt(m))/Q
+    p0, q0, p1, q1 = 1, 0, (P + s) // Q, 1
+    P = p1 * Q - P
+    Q = (m - P * P) // Q
+    first = (P, Q)
+    while True:
+        a = (P + s) // Q
+        P = a * Q - P
+        Q = (m - P * P) // Q
+        if (P, Q) == first:
+            break
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+    K = make_field(m)
+    return p1 - q1 * K.omega().conj()
+
+
+def test_fundamental_units_match_continued_fractions():
+    squarefree = [m for m in range(2, 300) if all(m % (q * q) for q in range(2, 18))]
+    assert len(squarefree) == 182
+    for m in squarefree:
+        eps = fundamental_unit(make_field(m))
+        assert abs(eps.norm()) == 1, m
+        assert real_greater(eps, eps.field(1)), m
+        assert eps == _continued_fraction_unit(m), m
+    # norm +1 units, the closing step of the principal cycle
+    for m, a, b in ((19, 170, 39), (94, 2143295, 221064), (151, 1728148040, 140634693)):
+        K = make_field(m)
+        assert fundamental_unit(K) == K(a, b)
+        assert K(a, b).norm() == 1

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -238,3 +239,125 @@ def test_mu_p_log(D, p, i, a, b):
         j = k.mu_p_log(x, p)
         assert 0 <= j < p
         assert k.pow(zeta, j) == k.pow(k.reduce(x), (k.q - 1) // p)
+
+
+# -- the integer representation against a Fraction-pair reference ---------
+
+_ORACLE_FIELDS = [None, -47, -79, 2, 5]
+_small = st.fractions(min_value=-60, max_value=60, max_denominator=36)
+
+
+def _ref_mul(m, x, y):
+    return (x[0] * y[0] + m * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _ref_inv(m, x):
+    n = x[0] * x[0] - m * x[1] * x[1]
+    return (x[0] / n, -x[1] / n)
+
+
+def _ref_pow(m, x, n):
+    if n < 0:
+        x, n = _ref_inv(m, x), -n
+    r = (Fraction(1), Fraction(0))
+    for _ in range(n):
+        r = _ref_mul(m, r, x)
+    return r
+
+
+def _ref_integer_coords(K, x):
+    a, b = x
+    ca, cb = (a - b, 2 * b) if K.disc % 4 == 1 else (a, b)
+    den = math.lcm(ca.denominator, cb.denominator)
+    A, B = int(ca * den), int(cb * den)
+    g = math.gcd(A, B, den)
+    return A // g, B // g, den // g
+
+
+def _assert_normalized(K, z):
+    assert z.field == K
+    assert z.D > 0 and math.gcd(z.A, z.B, z.D) == 1
+    assert not (K.is_rational and z.B)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_ORACLE_FIELDS), _small, _small, _small, _small,
+       st.integers(-50, 50), _small, st.integers(-5, 5))
+def test_field_element_matches_fraction_pairs(D, a1, b1, a2, b2, k, q, n):
+    K = make_field(D)
+    m = K.radicand
+    if K.is_rational:
+        b1 = b2 = Fraction(0)
+    x, y = K(a1, b1), K(a2, b2)
+    X, Y = (a1, b1), (a2, b2)
+    kk, qq = (Fraction(k), Fraction(0)), (q, Fraction(0))
+    add = lambda u, v: (u[0] + v[0], u[1] + v[1])
+    neg = lambda u: (-u[0], -u[1])
+    cases = [
+        (x, X), (y, Y), (-x, neg(X)), (x.conj(), (a1, -b1)),
+        (x + y, add(X, Y)), (x - y, add(X, neg(Y))), (x * y, _ref_mul(m, X, Y)),
+        (x + k, add(X, kk)), (k + x, add(X, kk)), (x - k, add(X, neg(kk))),
+        (k - x, add(kk, neg(X))), (x * k, _ref_mul(m, X, kk)), (k * x, _ref_mul(m, X, kk)),
+        (x + q, add(X, qq)), (q - x, add(qq, neg(X))), (q * x, _ref_mul(m, X, qq)),
+    ]
+    if any(Y):
+        cases += [(x / y, _ref_mul(m, X, _ref_inv(m, Y))), (k / y, _ref_mul(m, kk, _ref_inv(m, Y))),
+                  (q / y, _ref_mul(m, qq, _ref_inv(m, Y))), (y.inverse(), _ref_inv(m, Y))]
+    else:
+        for bad in (lambda: x / y, lambda: k / y, lambda: y.inverse(), lambda: y ** -1):
+            with pytest.raises(ZeroDivisionError):
+                bad()
+    if k:
+        cases.append((x / k, (a1 / k, b1 / k)))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / k
+    if q:
+        cases.append((x / q, (a1 / q, b1 / q)))
+    if any(X) or n >= 0:
+        cases.append((x ** n, _ref_pow(m, X, n)))
+    for z, (a, b) in cases:
+        _assert_normalized(K, z)
+        assert (z.a, z.b) == (a, b)
+        assert z.norm() == a * a - m * b * b
+        assert z.trace() == 2 * a
+        assert z.integer_coords() == _ref_integer_coords(K, (a, b))
+        ca, cb = (a - b, 2 * b) if K.disc % 4 == 1 else (a, b)
+        assert z.omega_coords() == (ca, cb)
+        assert bool(z) == (a != 0 or b != 0)
+        # equality against ints, Fractions and elements built another way
+        assert (z == a) == (b == 0)
+        assert (z == int(a)) == (b == 0 and a.denominator == 1)
+        w = K(a, b)
+        assert z == w and hash(z) == hash(w)
+        assert z == K.from_omega(ca.numerator * cb.denominator, cb.numerator * ca.denominator,
+                                 ca.denominator * cb.denominator)
+    assert (x == y) == (X == Y)
+
+
+def test_equal_elements_hash_equal():
+    for D in _ORACLE_FIELDS:
+        K = make_field(D)
+        half = K(Fraction(2, 4))
+        assert half == K(1) / 2 == Fraction(1, 2) and half != 1
+        assert hash(half) == hash(K(1) / 2) == hash(K(3) / K(6)) == hash(K(1) - Fraction(1, 2))
+        assert (half.A, half.B, half.D) == (1, 0, 2)
+        if not K.is_rational:
+            w = K.omega()
+            assert w == K.from_omega(0, 1) == (w * w + w) / (w + 1)
+            assert hash(w * 2 / 2) == hash(w)
+            assert K(0, Fraction(-3, 6)) == K.sqrt_gen() / -2
+        assert K(0) == 0 and K(0).D == 1 and K(-5) / -10 == half
+    with pytest.raises(ValueError):
+        make_field(None)(1, 1)
+    with pytest.raises(ZeroDivisionError):
+        FieldElement(make_field(2), 1, 1, 0)
+
+
+def test_explicit_exceptions():
+    K = make_field(2)
+    inert, split = primes_above(K, 5)[0], primes_above(K, 7)[0]
+    with pytest.raises(ValueError, match="split prime"):
+        inert.omega_root_mod(3)
+    with pytest.raises(ValueError, match="simple root"):
+        hensel_root([K(-2), K(0), K(1)], split, K(0), 4)
