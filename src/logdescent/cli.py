@@ -157,8 +157,8 @@ def _context(args) -> DescentContext:
     P = _point(E, args.P)
     try:
         return DescentContext(E, P, args.p)
-    except (ValueError, AssertionError) as e:
-        raise InputError(str(e) or "P is not a p-torsion point")
+    except ValueError as e:
+        raise InputError(str(e))
 
 
 def cmd_classify(args) -> int:

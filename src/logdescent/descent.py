@@ -109,8 +109,10 @@ def local_mu_p_dim(pr: PrimeIdeal, p: int) -> int:
     if vp == 0:
         q = pr.ell ** pr.f
         return 1 if (q - 1) % p == 0 else 0
-    # v | p: Q_p(mu_p)/Q_p is totally ramified of degree p-1
-    return 1 if pr.e % (p - 1) == 0 else 0
+    # v | p: Q_p(mu_p)/Q_p is totally ramified of degree p-1, so only p = 3
+    # with e = 2 is possible, and then K_v = Q_3(sqrt(m)) contains mu_3 iff
+    # it is Q_3(sqrt(-3)), that is iff -m/3 is a 3-adic unit square
+    return 1 if p == 3 and pr.e == 2 and (-pr.field.radicand // 3) % 3 == 1 else 0
 
 
 # -- coordinates on H^1(U_1, mu_p) ----------------------------------------

@@ -12,7 +12,7 @@ from .qfield import FieldElement, QuadField
 class Curve:
     """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6."""
 
-    __slots__ = ("field", "a1", "a2", "a3", "a4", "a6")
+    __slots__ = ("field", "a1", "a2", "a3", "a4", "a6", "disc")
 
     def __init__(self, field: QuadField, a1, a2, a3, a4, a6):
         self.field = field
@@ -21,6 +21,8 @@ class Curve:
         self.a3 = field(a3) if not isinstance(a3, FieldElement) else a3
         self.a4 = field(a4) if not isinstance(a4, FieldElement) else a4
         self.a6 = field(a6) if not isinstance(a6, FieldElement) else a6
+        b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8
+        self.disc = -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
         if not self.disc:
             raise ValueError("singular model")
 
@@ -53,11 +55,6 @@ class Curve:
     @property
     def c6(self):
         return -self.b2 ** 3 + 36 * self.b2 * self.b4 - 216 * self.b6
-
-    @property
-    def disc(self):
-        b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8
-        return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
     def j_invariant(self):
         return self.c4 ** 3 / self.disc

@@ -18,7 +18,6 @@ from .qfield import (
     FieldElement,
     PrimeIdeal,
     QuadField,
-    prime_divisors,
     primes_above,
 )
 
@@ -72,7 +71,7 @@ class LatticeIdeal:
 
     def __pow__(self, n: int) -> "LatticeIdeal":
         if n < 0:
-            raise ValueError("use FracIdeal for negative powers")
+            raise ValueError("negative powers of a lattice ideal are not integral")
         r = LatticeIdeal.unit_ideal(self.field)
         base = self
         while n:
@@ -267,57 +266,32 @@ def fundamental_unit(field: QuadField) -> FieldElement:
 # -- fractional ideals in factored form ----------------------------------
 
 
-class FracIdeal:
-    """Fractional ideal as a finite product of prime powers."""
+def _class_lattice(field: QuadField, pairs) -> tuple[LatticeIdeal, Fraction]:
+    """(I * conj(J), N(J)) for prod p^e = I/J over the (prime, exponent)
+    pairs, I and J integral. Since J * conj(J) = (N(J)), the lattice lies
+    in the class of prod p^e, and a generator g of it gives g / N(J) of
+    prod p^e."""
+    I = LatticeIdeal.unit_ideal(field)
+    J = LatticeIdeal.unit_ideal(field)
+    for p, e in pairs:
+        if e > 0:
+            I = I * LatticeIdeal.from_prime(p) ** e
+        elif e < 0:
+            J = J * LatticeIdeal.from_prime(p) ** (-e)
+    return I * J.conjugate(), J.norm()
 
-    def __init__(self, field: QuadField, powers: dict[PrimeIdeal, int] | None = None):
-        self.field = field
-        self.powers = {p: e for p, e in (powers or {}).items() if e != 0}
 
-    @classmethod
-    def principal(cls, x: FieldElement) -> "FracIdeal":
-        return cls(x.field, prime_divisors(x.field, x))
-
-    def numerator_lattice(self) -> LatticeIdeal:
-        I = LatticeIdeal.unit_ideal(self.field)
-        for p, e in self.powers.items():
-            if e > 0:
-                I = I * LatticeIdeal.from_prime(p) ** e
-        return I
-
-    def denominator_lattice(self) -> LatticeIdeal:
-        I = LatticeIdeal.unit_ideal(self.field)
-        for p, e in self.powers.items():
-            if e < 0:
-                I = I * LatticeIdeal.from_prime(p) ** (-e)
-        return I
-
-    def is_principal(self) -> tuple[bool, FieldElement | None]:
-        """Principality, with an exact generator on success."""
-        if self.field.is_rational:
-            g = Fraction(1)
-            for p, e in self.powers.items():
-                g *= Fraction(p.ell) ** e
-            return True, self.field(g)
-        num = self.numerator_lattice()
-        den = self.denominator_lattice()
-        test = num * den.conjugate()
-        ok, g = test.is_principal()
-        if not ok:
-            return False, None
-        gen = g / den.norm()
-        # sanity: valuations must match exactly
-        for p, e in self.powers.items():
-            assert p.val(gen) == e
-        return True, gen
-
-    def sorted_items(self):
-        return sorted(self.powers.items(), key=lambda kv: kv[0].sort_key())
-
-    def __repr__(self):
-        if not self.powers:
-            return "(1)"
-        return " * ".join(f"{p}^{e}" if e != 1 else f"{p}" for p, e in self.sorted_items())
+def ideal_generator(field: QuadField, powers: dict[PrimeIdeal, int]) -> FieldElement | None:
+    """A generator of prod p^e over the map powers, or None if that ideal is
+    not principal."""
+    L, n = _class_lattice(field, powers.items())
+    ok, g = L.is_principal()
+    if not ok:
+        return None
+    gen = g / n
+    if any(p.val(gen) != e for p, e in powers.items()):
+        raise RuntimeError("an ideal generator has the wrong valuations")
+    return gen
 
 
 # -- finite abelian group presentations ----------------------------------
@@ -336,9 +310,7 @@ class Cokernel:
         if not relations:
             relations = [[0] * ngens]
         A = [[rel[i] for rel in relations] for i in range(ngens)]  # columns = relations
-        U, S, V = smith_normal_form(A)
-        self.U = U
-        self.Uinv = _int_matrix_inverse(U)
+        self.U, self.Uinv, S, V = smith_normal_form(A)
         divisors = []
         for i in range(ngens):
             d = S[i][i] if i < len(S[0]) and i < len(S) else 0
@@ -403,23 +375,6 @@ class Cokernel:
         return sum(1 for d in self.divisors if d and d % p == 0)
 
 
-def _int_matrix_inverse(U: list[list[int]]) -> list[list[int]]:
-    n = len(U)
-    aug = [[Fraction(U[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if aug[i][c] != 0)
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    out = [[aug[i][n + j] for j in range(n)] for i in range(n)]
-    assert all(x.denominator == 1 for row in out for x in row)
-    return [[int(x) for x in row] for row in out]
-
-
 # -- class groups ---------------------------------------------------------
 
 
@@ -448,15 +403,8 @@ class ClassGroup:
         return tuple([0] * self.coker.ngens)
 
     def _ideal_from_fb_vector(self, vec: list[int]) -> LatticeIdeal:
-        I = LatticeIdeal.unit_ideal(self.field)
-        J = LatticeIdeal.unit_ideal(self.field)
-        for p, e in zip(self.factor_base, vec):
-            if e > 0:
-                I = I * LatticeIdeal.from_prime(p) ** e
-            elif e < 0:
-                J = J * LatticeIdeal.from_prime(p) ** (-e)
-        # the class of I/J equals that of I * conj(J)
-        return I * J.conjugate()
+        """An integral ideal in the class of the factor-base vector."""
+        return _class_lattice(self.field, zip(self.factor_base, vec))[0]
 
     def dlog_prime(self, prime: PrimeIdeal) -> tuple[int, ...]:
         if prime in self._prime_dlog_cache:
@@ -723,19 +671,15 @@ def field_selmer_basis(field: QuadField, S: list[PrimeIdeal], p: int) -> FieldSe
     cg = class_group(field)
     scl = s_class_group(cg, S)
     for vec in scl.unit_lattice:
-        I = FracIdeal(field, {pr: e for pr, e in zip(S, vec)})
-        ok, gen = I.is_principal()
-        if not ok:
+        gen = ideal_generator(field, {pr: e for pr, e in zip(S, vec) if e})
+        if gen is None:
             raise RuntimeError("an S-unit lattice vector is not principal")
         unit_gens.append(gen)
     class_gens: list[FieldElement] = []
     for gvec, a in scl.torsion_lifts(p):
-        I = FracIdeal(field, dict(zip(S, a)))
-        Ic = cg._ideal_from_fb_vector(gvec)
-        J = Ic ** p * I.numerator_lattice() * I.denominator_lattice().conjugate()
-        ok, gen = J.is_principal()
+        L, n = _class_lattice(field, zip(S, a))
+        ok, gen = (cg._ideal_from_fb_vector(gvec) ** p * L).is_principal()
         if not ok:
             raise RuntimeError("a lift of Cl(O_{K,S})[p] is not principal")
-        gen = gen / I.denominator_lattice().norm()
-        class_gens.append(gen)
+        class_gens.append(gen / n)
     return FieldSelmerBasis(field, S, p, unit_gens, class_gens)

@@ -1,4 +1,5 @@
-"""Exact integer and mod-p linear algebra: HNF, SNF with transforms, F_p kernels."""
+"""Exact integer and mod-p linear algebra: HNF, SNF with its transforms and
+U^-1, F_p kernels."""
 
 from __future__ import annotations
 
@@ -39,17 +40,25 @@ def hnf(rows: list[list[int]]) -> list[list[int]]:
     return [row for row in m[:r]]
 
 
-def smith_normal_form(a: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Return (U, S, V) with S = U*A*V diagonal, d_i | d_{i+1}, U, V unimodular."""
+def smith_normal_form(a: list[list[int]]) -> tuple[list[list[int]], ...]:
+    """Return (U, U^-1, S, V) with S = U*A*V diagonal, d_i | d_{i+1}, U, V
+    unimodular.
+
+    U is built from elementary row operations; each one is mirrored on U^-1
+    by the inverse column operation, so U^-1 comes without a matrix inverse.
+    """
     s = [list(r) for r in a]
     n = len(s)
     m = len(s[0]) if n else 0
     u = [[int(i == j) for j in range(n)] for i in range(n)]
+    uinv = [[int(i == j) for j in range(n)] for i in range(n)]
     v = [[int(i == j) for j in range(m)] for i in range(m)]
 
     def swap_rows(i, j):
         s[i], s[j] = s[j], s[i]
         u[i], u[j] = u[j], u[i]
+        for row in uinv:
+            row[i], row[j] = row[j], row[i]
 
     def swap_cols(i, j):
         for row in s:
@@ -58,9 +67,11 @@ def smith_normal_form(a: list[list[int]]) -> tuple[list[list[int]], list[list[in
             row[i], row[j] = row[j], row[i]
 
     def addmul_row(i, j, q):
-        # row_i += q * row_j
+        # row_i += q * row_j; on U^-1, col_j -= q * col_i
         s[i] = [x + q * y for x, y in zip(s[i], s[j])]
         u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+        for row in uinv:
+            row[j] -= q * row[i]
 
     def addmul_col(i, j, q):
         for row in s:
@@ -71,6 +82,8 @@ def smith_normal_form(a: list[list[int]]) -> tuple[list[list[int]], list[list[in
     def neg_row(i):
         s[i] = [-x for x in s[i]]
         u[i] = [-x for x in u[i]]
+        for row in uinv:
+            row[i] = -row[i]
 
     t = 0
     while t < min(n, m):
@@ -117,7 +130,7 @@ def smith_normal_form(a: list[list[int]]) -> tuple[list[list[int]], list[list[in
         if s[t][t] < 0:
             neg_row(t)
         t += 1
-    return u, s, v
+    return u, uinv, s, v
 
 
 def fp_rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:

@@ -260,9 +260,6 @@ class FieldElement:
     def __bool__(self):
         return self.A != 0 or self.B != 0
 
-    def is_rational(self) -> bool:
-        return self.B == 0
-
     def omega_coords(self) -> tuple[Fraction, Fraction]:
         """Coordinates over the integral basis (1, omega)."""
         if self.field.disc % 4 == 1:
@@ -523,9 +520,12 @@ def prime_divisors(field: QuadField, x: FieldElement) -> dict[PrimeIdeal, int]:
     """Factor the principal fractional ideal (x) into primes."""
     if not x:
         raise ValueError("cannot factor the zero ideal")
-    n = x.norm()
+    # x = (A + B sqrt(m))/D: every prime of x divides N(A + B sqrt(m)) or D.
+    # The reduced norm N(x) is not enough, since the valuations of p and
+    # conj(p) may cancel in it, as for (2 + i)/(2 - i).
+    n = x.A * x.A - x.B * x.B * field.radicand
     out: dict[PrimeIdeal, int] = {}
-    for ell in sorted(set(factorint(abs(n.numerator)).keys()) | set(factorint(n.denominator).keys())):
+    for ell in sorted(set(factorint(abs(n))) | set(factorint(x.D))):
         for pr in primes_above(field, ell):
             v = pr.val(x)
             if v:

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import logdescent
 from logdescent.cli import main
 
@@ -203,6 +205,18 @@ def test_j_zero_guard_reads_the_input_curve(capsys):
                                  "--p", "3", "--P", "3,4"])
     assert code == 1
     assert "error: j = 0, 1728 not handled" in err
+
+
+def test_internal_assertion_is_not_an_input_error(monkeypatch):
+    # a failed invariant while the context is built is a defect, not bad
+    # input: it is not reported as "error: ..." with exit status 1
+    from logdescent import descent
+
+    def broken(*args, **kwargs):
+        raise AssertionError("Velu invariant")
+    monkeypatch.setattr(descent, "isogeny_from_kernel_point", broken)
+    with pytest.raises(AssertionError, match="Velu invariant"):
+        main(["classify", *ARGS_11A_47])
 
 
 def test_exit_code_hypothesis_failure(capsys):

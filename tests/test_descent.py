@@ -111,6 +111,38 @@ def test_classification_35a_sqrt_2():
     assert local_mu_p_dim(ctx.S2[0], 3) == 1
 
 
+def _hensel_mu3(v):
+    """Whether x^2 + x + 1 has a root in K_v, v | 3: some x = a + b*omega,
+    0 <= a, b < 27, with v(x^2 + x + 1) > 2 v(2x + 1)."""
+    K = v.field
+    w = K.omega()
+    for a in range(27):
+        for b in range(27):
+            x = a + b * w
+            if v.val(x * x + x + 1) > 2 * v.val(2 * x + 1):
+                return True
+    return False
+
+
+def test_local_mu3_against_hensel():
+    ramified = [m for m in range(-149, 150)
+                if m % 3 == 0 and m != 0 and all(m % (q * q) for q in range(2, 13))]
+    assert len(ramified) == 46
+    for m in ramified:
+        (v,) = primes_above(make_field(m), 3)
+        assert v.e == 2
+        assert local_mu_p_dim(v, 3) == int(_hensel_mu3(v)), m
+    # mu_p is never in K_v for an unramified v | 3, nor for v | p >= 5
+    for m in (-47, -2, 2, 7, -5, 5, 10, 15):
+        K = make_field(m)
+        for pr in primes_above(K, 3):
+            if pr.e == 1:
+                assert local_mu_p_dim(pr, 3) == 0, m
+        for p in (5, 7):
+            for pr in primes_above(K, p):
+                assert local_mu_p_dim(pr, p) == 0, (m, p)
+
+
 def test_selmer_dims_sqrt_m47():
     ctx = _ctx_11a(-47)
     sel = selmer_phi(ctx)

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from sympy import primerange
 
 from logdescent.ideals import (
-    FracIdeal,
     LatticeIdeal,
     class_group,
     field_selmer_basis,
     fundamental_unit,
+    ideal_generator,
     real_greater,
     s_class_group,
     s_unit_lattice,
@@ -58,9 +58,8 @@ def test_frac_ideal_of_element_is_principal():
     K = make_field(-47)
     w = K.omega()
     x = (K(3) + w) * (K(2) - w) / K(5)
-    I = FracIdeal.principal(x)
-    ok, g = I.is_principal()
-    assert ok
+    g = ideal_generator(K, prime_divisors(K, x))
+    assert g is not None
     u = x / g
     assert abs(u.norm()) == 1 and prime_divisors(K, u) == {}
 
@@ -142,8 +141,7 @@ def test_s_unit_lattice_shape():
     assert len(L) == len(S)
     # every lattice vector gives a principal product
     for vec in L:
-        I = FracIdeal(K, {pr: e for pr, e in zip(S, vec)})
-        assert I.is_principal()[0]
+        assert ideal_generator(K, {pr: e for pr, e in zip(S, vec)}) is not None
 
 
 # -- the S-class map against its former, independent implementations ---------
@@ -162,7 +160,7 @@ def _kernel_lattice_oracle(cg, S):
             A[i][j] = c
     for i, d in enumerate(cg.coker.divisors):
         A[i][len(S) + i] = d
-    _, D, V = smith_normal_form(A)
+    _, _, D, V = smith_normal_form(A)
     rank = sum(1 for i in range(n) if D[i][i] != 0)
     return hnf([[V[i][j] for i in range(len(S))] for j in range(rank, ncols)])
 
@@ -203,6 +201,63 @@ def test_s_class_map_matches_oracles(m, data):
         for gvec, lift in scl.torsion_lifts(p):
             Ic = cg.coker.coords(gvec)
             assert lift == _s_combination_oracle(cg, S, [-p * c for c in Ic])
+
+
+def _fraction_inverse(U):
+    """U^-1 by Gauss-Jordan elimination over Q."""
+    n = len(U)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(U)]
+    for c in range(n):
+        piv = next(i for i in range(c, n) if aug[i][c] != 0)
+        aug[c], aug[piv] = aug[piv], aug[c]
+        inv = 1 / aug[c][c]
+        aug[c] = [x * inv for x in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
+    out = [row[n:] for row in aug]
+    assert all(x.denominator == 1 for row in out for x in row)
+    return [[int(x) for x in row] for row in out]
+
+
+# squarefree m != 0, 1: imaginary and real quadratic fields
+RANDOM_FIELDS = st.integers(-250, 250).filter(
+    lambda m: m not in (0, 1) and all(m % (q * q) for q in range(2, 16)))
+
+
+def _small_places(K):
+    return [pr for ell in primerange(2, 14) for pr in primes_above(K, ell)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(RANDOM_FIELDS, st.data())
+def test_smith_form_inverse_matches_fraction_oracle(m, data):
+    K = make_field(m)
+    cg = class_group(K)
+    S = data.draw(st.lists(st.sampled_from(_small_places(K)), max_size=4, unique=True))
+    for coker in (cg.coker, s_class_group(cg, S)):
+        assert coker.Uinv == _fraction_inverse(coker.U)
+        for c in coker.all_elements():
+            assert coker.coords(coker.element_vector(list(c))) == c
+
+
+@settings(max_examples=40, deadline=None)
+@given(RANDOM_FIELDS, st.data())
+def test_ideal_generator_against_class_group_dlog(m, data):
+    K = make_field(m)
+    cg = class_group(K)
+    powers = data.draw(st.dictionaries(st.sampled_from(_small_places(K)),
+                                       st.integers(-3, 3), max_size=4))
+    acc = [0] * cg.coker.ngens
+    for pr, e in powers.items():
+        acc = [a + e * t for a, t in zip(acc, cg.dlog_prime(pr))]
+    principal = all(a % d == 0 for a, d in zip(acc, cg.coker.divisors))
+    g = ideal_generator(K, powers)
+    assert (g is not None) == principal
+    if g is not None:
+        assert prime_divisors(K, g) == {pr: e for pr, e in powers.items() if e}
 
 
 def _continued_fraction_unit(m):

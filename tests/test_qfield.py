@@ -115,6 +115,21 @@ def test_prime_divisors_recover_element():
         assert p.val(x) == e
 
 
+def test_prime_divisors_when_the_norm_cancels():
+    # (2 + i)/(2 - i) and (2 + w)/(2 + conj(w)) have norm 1 but are not units
+    for D, a in ((-1, 2), (-47, 2), (2, 3)):
+        K = make_field(D)
+        w = K.omega()
+        x = (K(a) + w) / (K(a) + w.conj())
+        assert x.norm() == 1
+        fac = prime_divisors(K, x)
+        assert fac
+        small = [q for ell in (2, 3, 5, 7, 11, 13) for q in primes_above(K, ell)]
+        assert set(fac) <= set(small)
+        for pr in small:
+            assert pr.val(x) == fac.get(pr, 0)
+
+
 def test_uniformizers():
     for D in (-47, 2, -79, -11, 5, -1, -3):
         K = make_field(D)
