@@ -3,14 +3,26 @@
 Class groups are computed from a factor-base relation matrix put into Smith
 normal form, then certified by exhaustively testing every nonzero candidate
 class for principality (any principal survivor is fed back as a relation).
-Principality itself is decided by lattice reduction (imaginary) or by the
-reduction cycle of the associated indefinite form (real).
+Relations are read off the integer norms of small elements u + v*omega.
+
+Two principality tests are used. Certification and discrete logs only need a
+yes or no, and decide it on reduced binary quadratic forms (a, b, c) of
+discriminant disc(K) (Cohen, GTM 138, sections 5.2-5.6): a class is principal
+iff its Gauss-reduced form has a = 1 (imaginary), or iff the rho-cycle of its
+reduced forms contains one with |a| = 1 (real). Where a generator is needed,
+``LatticeIdeal.is_principal`` finds one by lattice reduction (imaginary) or
+along the reduction cycle of the ideal's indefinite form (real).
+
+Limits: certification enumerates the claimed group, so its order may be at
+most MAX_CERTIFIED_ORDER; the relation search gives up past the box bound
+MAX_RELATION_BOUND. Both raise LimitError.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 
 from .linalg import hnf, smith_normal_form
 from .ntheory import primerange
@@ -20,6 +32,13 @@ from .qfield import (
     QuadField,
     primes_above,
 )
+
+MAX_CERTIFIED_ORDER = 200000
+MAX_RELATION_BOUND = 4096
+
+
+class LimitError(RuntimeError):
+    """A computation passed one of the documented desk-scale limits."""
 
 
 class LatticeIdeal:
@@ -144,7 +163,8 @@ def _form_of_ideal(I: LatticeIdeal) -> tuple[int, int, int, FieldElement, FieldE
     A = b1.norm() / n
     B = (b1 * b2.conj() + b2 * b1.conj()).a / n
     C = b2.norm() / n
-    assert A.denominator == B.denominator == C.denominator == 1
+    if not A.denominator == B.denominator == C.denominator == 1:
+        raise RuntimeError(f"the form of the ideal {I} is not integral")
     return int(A), int(B), int(C), b1, b2
 
 
@@ -180,7 +200,8 @@ def _real_cycle_search(I: LatticeIdeal, collect_units: bool = False):
     list of units found along the principal cycle."""
     A, B, C, b1, b2 = _form_of_ideal(I)
     D = B * B - 4 * A * C
-    assert D == I.field.disc
+    if D != I.field.disc:
+        raise RuntimeError(f"the form of {I} has discriminant {D}, not {I.field.disc}")
     sq = math.isqrt(D)
     M = [[1, 0], [0, 1]]
     while not _is_reduced_indef(A, B, C, sq):
@@ -214,6 +235,121 @@ def _real_cycle_search(I: LatticeIdeal, collect_units: bool = False):
         if steps > 10 * D + 100:
             raise RuntimeError("reduction cycle failed to close")
     return units if collect_units else None
+
+
+# -- binary quadratic forms ----------------------------------------------
+#
+# A form is a triple (a, b, c) with b^2 - 4ac = D, the discriminant of K.
+# The prime p = [ell, omega - wbar] = [ell, (-b + sqrt(D))/2] has the form
+# (ell, b, c) with b = 2*wbar - tr(omega), and ideal classes compose as the
+# forms do. Forms are kept with a > 0, so real-field cycles are entered at a
+# positive form.
+
+
+def _prime_form(p: PrimeIdeal) -> tuple[int, int, int]:
+    """The form (ell, 2*wbar - tr, N(omega - wbar)/ell) of a split or
+    ramified prime."""
+    K = p.field
+    w, tr, nm = p.wbar, K.omega_trace, K.omega_norm
+    return p.ell, 2 * w - tr, (w * w - tr * w + nm) // p.ell
+
+
+def _unit_form(D: int) -> tuple[int, int, int]:
+    """The reduced form of the principal class."""
+    b = D % 2
+    return _reduce((1, b, (b - D) // 4), D)
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(x, y, g) with x*a + y*b = g = gcd(a, b) >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        return -x0, -y0, -a
+    return x0, y0, a
+
+
+def _compose(f, g, D: int) -> tuple[int, int, int]:
+    """Dirichlet composition of two forms with a > 0 (Cohen Def. 5.4.6),
+    unreduced."""
+    a1, b1, _ = f
+    a2, b2, _ = g
+    beta = (b1 + b2) // 2
+    u1, v1, g1 = _xgcd(a1, a2)
+    u2, w, n = _xgcd(g1, beta)
+    a3 = a1 * a2 // (n * n)
+    b3 = (u1 * u2 * a1 * b2 + v1 * u2 * a2 * b1 + w * ((b1 * b2 + D) // 2)) // n
+    b3 %= 2 * a3
+    c3, r = divmod(b3 * b3 - D, 4 * a3)
+    if r:
+        raise RuntimeError(f"composing {f} and {g} gave no form of discriminant {D}")
+    return a3, b3, c3
+
+
+def _reduce(f, D: int) -> tuple[int, int, int]:
+    """The reduced form of the class of f: Gauss reduction with |b| <= a <= c
+    (imaginary), or a reduced form with a > 0 on the rho-cycle (real)."""
+    a, b, c = f
+    if D < 0:
+        while True:
+            r = b % (2 * a)
+            if r > a:
+                r -= 2 * a
+            c = (r * r - D) // (4 * a)
+            b = r
+            if a > c:
+                a, b, c = c, -b, a
+                continue
+            if a == c and b < 0:
+                b = -b
+            return a, b, c
+    sq = math.isqrt(D)
+    while not _is_reduced_indef(a, b, c, sq):
+        a, b, c, _ = _rho_step(a, b, c, sq)
+    if a < 0:
+        a, b, c, _ = _rho_step(a, b, c, sq)
+    return a, b, c
+
+
+def _form_pow(f, e: int, D: int) -> tuple[int, int, int]:
+    """The reduced form of the class of f^e; (a, -b, c) is the inverse class."""
+    if e < 0:
+        f, e = (f[0], -f[1], f[2]), -e
+    out = _unit_form(D)
+    while e:
+        if e & 1:
+            out = _reduce(_compose(out, f, D), D)
+        e >>= 1
+        if e:
+            f = _reduce(_compose(f, f, D), D)
+    return out
+
+
+def _cycle(f, D: int) -> list[tuple[int, int, int]]:
+    """The reduced forms of the ideal class of the reduced real form f: its
+    rho-cycle, and the negation (-a, b, -c) of each. The negated cycle is
+    the narrow class of f times that of an element of negative norm."""
+    sq = math.isqrt(D)
+    out = [f]
+    while True:
+        a, b, c, _ = _rho_step(*out[-1], sq)
+        if (a, b, c) == f:
+            return out + [(-a, b, -c) for a, b, c in out]
+        out.append((a, b, c))
+        if len(out) > 10 * D + 100:
+            raise RuntimeError("reduction cycle failed to close")
+
+
+def _principal_test(D: int):
+    """The principality verdict on reduced forms of discriminant D."""
+    if D < 0:
+        return lambda f: f[0] == 1
+    principal = set(_cycle(_unit_form(D), D))
+    return principal.__contains__
 
 
 # -- real embedding comparisons ------------------------------------------
@@ -259,7 +395,8 @@ def fundamental_unit(field: QuadField) -> FieldElement:
     for c in normalized[1:]:
         if real_greater(best, c):
             best = c
-    assert abs(best.norm()) == 1
+    if abs(best.norm()) != 1:
+        raise RuntimeError(f"the fundamental unit {best} has norm {best.norm()}")
     return best
 
 
@@ -303,14 +440,15 @@ class Cokernel:
     def __init__(self, ngens: int, relations: list[list[int]]):
         self._present(ngens, relations)
 
-    def _present(self, ngens: int, relations: list[list[int]]) -> list[list[int]]:
+    def _present(self, ngens: int, relations: list[list[int]], with_v: bool = False):
         """Put the matrix whose columns are the relations into Smith form
-        U*A*V. Keeps U, its inverse and the divisors; returns V."""
+        U*A*V. Keeps U, its inverse and the divisors; returns V if asked
+        for (None otherwise)."""
         self.ngens = ngens
         if not relations:
             relations = [[0] * ngens]
         A = [[rel[i] for rel in relations] for i in range(ngens)]  # columns = relations
-        self.U, self.Uinv, S, V = smith_normal_form(A)
+        self.U, self.Uinv, S, V = smith_normal_form(A, with_v)
         divisors = []
         for i in range(ngens):
             d = S[i][i] if i < len(S[0]) and i < len(S) else 0
@@ -406,20 +544,64 @@ class ClassGroup:
         """An integral ideal in the class of the factor-base vector."""
         return _class_lattice(self.field, zip(self.factor_base, vec))[0]
 
+    def _vector_form(self, vec: list[int]) -> tuple[int, int, int]:
+        """The reduced form of the class of the factor-base vector."""
+        D = self.field.disc
+        f = _unit_form(D)
+        for p, e in zip(self.factor_base, vec):
+            if e:
+                f = _reduce(_compose(f, _form_pow(_prime_form(p), e, D), D), D)
+        return f
+
+    def class_forms(self):
+        """(coordinates, reduced form) of every element of the presented
+        group, in the order of Cokernel.all_elements, by one composition per
+        element."""
+        coker = self.coker
+        D = self.field.disc
+        idx = coker.nontrivial_indices()
+        gens = []
+        for i in idx:
+            e = [0] * coker.ngens
+            e[i] = 1
+            gens.append(self._vector_form(coker.element_vector(e)))
+        coords = [0] * coker.ngens
+
+        def walk(k, f):
+            if k == len(idx):
+                yield tuple(coords), f
+                return
+            i = idx[k]
+            for c in range(coker.divisors[i]):
+                coords[i] = c
+                yield from walk(k + 1, f)
+                if c + 1 < coker.divisors[i]:
+                    f = _reduce(_compose(f, gens[k], D), D)
+            coords[i] = 0
+
+        yield from walk(0, _unit_form(D))
+
+    @cached_property
+    def _form_table(self) -> dict[tuple[int, int, int], tuple[int, ...]]:
+        """Coordinates of the class of each reduced form (every form of each
+        cycle for real fields)."""
+        table = {}
+        for coords, f in self.class_forms():
+            for g in ([f] if self.field.disc < 0 else _cycle(f, self.field.disc)):
+                table[g] = coords
+        return table
+
     def dlog_prime(self, prime: PrimeIdeal) -> tuple[int, ...]:
         if prime in self._prime_dlog_cache:
             return self._prime_dlog_cache[prime]
-        out = self._dlog_lattice(LatticeIdeal.from_prime(prime))
+        if prime.kind == "inert":
+            out = self.identity()
+        else:
+            out = self._form_table.get(_reduce(_prime_form(prime), self.field.disc))
+            if out is None:
+                raise RuntimeError("discrete log failed; class group data inconsistent")
         self._prime_dlog_cache[prime] = out
         return out
-
-    def _dlog_lattice(self, I: LatticeIdeal) -> tuple[int, ...]:
-        for coords in self.coker.all_elements():
-            vec = self.coker.element_vector(list(coords))
-            test = I * self._ideal_from_fb_vector([-v for v in vec])
-            if test.is_principal()[0]:
-                return tuple(coords)
-        raise RuntimeError("discrete log failed; class group data inconsistent")
 
     def coords_add(self, a, b, sign: int = 1):
         return tuple(
@@ -445,45 +627,48 @@ def class_group(field: QuadField) -> ClassGroup:
     else:
         mink = math.isqrt(disc) // 2 + 2
     fb: list[PrimeIdeal] = []
-    fb_ells: list[int] = []
+    # (ell, index in fb of the first prime above ell, its wbar if ell splits)
+    fb_ells: list[tuple[int, int, int | None]] = []
     for ell in primerange(2, mink + 1):
         prs = primes_above(field, ell)
-        if len(prs) == 1 and prs[0].kind == "inert":
+        if prs[0].kind == "inert":
             continue
+        fb_ells.append((ell, len(fb), prs[0].wbar if prs[0].kind == "split" else None))
         fb.extend(prs)
-        fb_ells.append(ell)
     if not fb:
         cg = ClassGroup(field, [], Cokernel(0, []))
         _CLASS_GROUP_CACHE[field.disc] = cg
         return cg
 
-    idx = {p: i for i, p in enumerate(fb)}
+    # (ell) = p^2 or p*conj(p)
     relations: list[list[int]] = []
-    for ell in fb_ells:
-        prs = primes_above(field, ell)
+    for ell, i, w in fb_ells:
         vec = [0] * len(fb)
-        if prs[0].kind == "ramified":
-            vec[idx[prs[0]]] = 2
+        if w is None:
+            vec[i] = 2
         else:
-            vec[idx[prs[0]]] = 1
-            vec[idx[prs[1]]] = 1
+            vec[i] = vec[i + 1] = 1
         relations.append(vec)
 
-    K = field
+    tr, nm = field.omega_trace, field.omega_norm
+    fb_prod = math.prod(ell for ell, _, _ in fb_ells)
 
-    def smooth_relation(x: FieldElement) -> list[int] | None:
-        n = int(x.norm())
-        rest = abs(n)
-        for ell in fb_ells:
-            while rest % ell == 0:
-                rest //= ell
-        if rest != 1:
-            return None
+    def relation(u: int, v: int, n: int) -> list[int]:
+        """The factor-base vector of (u + v*omega), of norm +-n smooth over
+        the factor base and gcd(u, v) = 1. For split ell, gcd(u, v) = 1
+        keeps (ell) = p*conj(p) from dividing u + v*omega, so only one of
+        the two divides it: p = (ell, omega - wbar) iff u + v*wbar = 0 mod
+        ell."""
         vec = [0] * len(fb)
-        for p in fb:
-            v = p.val(x)
-            if v:
-                vec[idx[p]] = v
+        for ell, i, w in fb_ells:
+            k = 0
+            while n % ell == 0:
+                n //= ell
+                k += 1
+            if k:
+                vec[i if w is None or (u + v * w) % ell == 0 else i + 1] = k
+            if n == 1:
+                break
         return vec
 
     bound = 12
@@ -492,11 +677,10 @@ def class_group(field: QuadField) -> ClassGroup:
     while True:
         for u in range(-bound, bound + 1):
             for v in range(1, bound + 1):
-                if math.gcd(u, v) != 1:
-                    continue
-                vec = smooth_relation(K.from_omega(u, v))
-                if vec is not None:
-                    relations.append(vec)
+                n = abs(u * u + u * v * tr + v * v * nm)
+                # smooth iff n divides a power of the factor-base primes
+                if pow(fb_prod, n.bit_length(), n) == 0 and math.gcd(u, v) == 1:
+                    relations.append(relation(u, v, n))
         coker = Cokernel(len(fb), relations)
         sig = tuple(coker.divisors)
         if coker.order != 0 and sig == prev_sig:
@@ -514,26 +698,21 @@ def class_group(field: QuadField) -> ClassGroup:
             stable = 0
             continue
         bound *= 2
-        if bound > 4096:
-            raise RuntimeError(f"class group relation search failed for disc {disc}")
+        if bound > MAX_RELATION_BOUND:
+            raise LimitError(f"class group relation search for disc {disc} passed "
+                             f"the box bound {MAX_RELATION_BOUND}")
 
 
 def _certify(cg: ClassGroup) -> list[int] | None:
     """Check no nonzero claimed class is principal; returns a missing
     relation (factor-base vector) if one is found."""
-    if cg.order > 200000:
-        raise RuntimeError("class group too large for certification at desk scale")
-    for coords in cg.coker.all_elements():
-        if all(c == 0 for c in coords):
-            continue
-        vec = cg.coker.element_vector(list(coords))
-        I = cg._ideal_from_fb_vector(vec)
-        ok, _ = I.is_principal()
-        if ok:
-            # translate back: vec + (conjugate corrections) is principal;
-            # conj(p)^e contributes -e at p plus e*(p + pbar) relations, so
-            # the plain vector is a valid class relation.
-            return vec
+    if cg.order > MAX_CERTIFIED_ORDER:
+        raise LimitError(f"class group order {cg.order} is past the certification "
+                         f"limit {MAX_CERTIFIED_ORDER}")
+    principal = _principal_test(cg.field.disc)
+    for coords, f in cg.class_forms():
+        if any(coords) and principal(f):
+            return cg.coker.element_vector(list(coords))
     return None
 
 
@@ -584,7 +763,7 @@ class SClassGroup(Cokernel):
         n = cg.coker.ngens
         rels = [[d if i == j else 0 for j in range(n)] for i, d in enumerate(cg.coker.divisors)]
         rels += [list(cg.dlog_prime(pr)) for pr in S]
-        V = self._present(n, rels)
+        V = self._present(n, rels, with_v=True)
         # Cl(K) is finite, so the relation matrix has rank n: the first n
         # columns of V solve the system and the others span its kernel.
         # Only the rows of V that belong to S are kept.

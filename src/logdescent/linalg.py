@@ -40,19 +40,21 @@ def hnf(rows: list[list[int]]) -> list[list[int]]:
     return [row for row in m[:r]]
 
 
-def smith_normal_form(a: list[list[int]]) -> tuple[list[list[int]], ...]:
+def smith_normal_form(a: list[list[int]], with_v: bool = False) -> tuple[list[list[int]], ...]:
     """Return (U, U^-1, S, V) with S = U*A*V diagonal, d_i | d_{i+1}, U, V
     unimodular.
 
     U is built from elementary row operations; each one is mirrored on U^-1
     by the inverse column operation, so U^-1 comes without a matrix inverse.
+    V is an m x m matrix for m columns and is kept only with with_v (it is
+    None otherwise); the operations on S do not depend on it.
     """
     s = [list(r) for r in a]
     n = len(s)
     m = len(s[0]) if n else 0
     u = [[int(i == j) for j in range(n)] for i in range(n)]
     uinv = [[int(i == j) for j in range(n)] for i in range(n)]
-    v = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(m)] for i in range(m)] if with_v else None
 
     def swap_rows(i, j):
         s[i], s[j] = s[j], s[i]
@@ -63,8 +65,9 @@ def smith_normal_form(a: list[list[int]]) -> tuple[list[list[int]], ...]:
     def swap_cols(i, j):
         for row in s:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        if with_v:
+            for row in v:
+                row[i], row[j] = row[j], row[i]
 
     def addmul_row(i, j, q):
         # row_i += q * row_j; on U^-1, col_j -= q * col_i
@@ -76,8 +79,9 @@ def smith_normal_form(a: list[list[int]]) -> tuple[list[list[int]], ...]:
     def addmul_col(i, j, q):
         for row in s:
             row[i] += q * row[j]
-        for row in v:
-            row[i] += q * row[j]
+        if with_v:
+            for row in v:
+                row[i] += q * row[j]
 
     def neg_row(i):
         s[i] = [-x for x in s[i]]
@@ -87,14 +91,21 @@ def smith_normal_form(a: list[list[int]]) -> tuple[list[list[int]], ...]:
 
     t = 0
     while t < min(n, m):
-        # find pivot with minimal absolute value in the remaining block
+        # the first entry of minimal absolute value in the remaining block,
+        # in row-major order; no later entry beats a unit
         piv = None
         best = None
         for i in range(t, n):
+            row = s[i]
             for j in range(t, m):
-                if s[i][j] != 0 and (best is None or abs(s[i][j]) < best):
-                    best = abs(s[i][j])
+                x = row[j]
+                if x and (best is None or abs(x) < best):
+                    best = abs(x)
                     piv = (i, j)
+                    if best == 1:
+                        break
+            if best == 1:
+                break
         if piv is None:
             break
         i0, j0 = piv
@@ -115,16 +126,17 @@ def smith_normal_form(a: list[list[int]]) -> tuple[list[list[int]], ...]:
                     dirty = True
         if dirty:
             continue
-        # pivot must divide every remaining entry
+        # pivot must divide every remaining entry (a unit always does)
         ok = True
-        for i in range(t + 1, n):
-            for j in range(t + 1, m):
-                if s[i][j] % s[t][t]:
-                    addmul_row(t, i, 1)
-                    ok = False
+        if best != 1:
+            for i in range(t + 1, n):
+                for j in range(t + 1, m):
+                    if s[i][j] % s[t][t]:
+                        addmul_row(t, i, 1)
+                        ok = False
+                        break
+                if not ok:
                     break
-            if not ok:
-                break
         if not ok:
             continue
         if s[t][t] < 0:

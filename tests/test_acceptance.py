@@ -19,7 +19,7 @@ from logdescent.pairing import (bad_places, fibral_coefficient, log_pairing,
 from logdescent.qfield import ResidueField, make_field, primes_above
 from logdescent.tate import component_index
 
-from test_pairing import _FakeLD, _solve_fibral
+from test_pairing import _FakeLD, _int_solve, _intersection_matrix, _solve_fibral
 
 
 def _ctx_11a(d):
@@ -178,27 +178,10 @@ def test_criterion_5_duality_identity():
 def _fibral_columns(edges, nc, jqs):
     """Invert the non-identity block of the intersection matrix once;
     column jq-1 is then the solution vector for Q on component jq."""
-    M = [[Fraction(0)] * nc for _ in range(nc)]
-    for i in range(nc):
-        M[i][i] = Fraction(-2)
-    for i, j, w in edges:
-        M[i][j] += w
-        M[j][i] += w
+    M = _intersection_matrix(edges, nc)
     n = nc - 1
-    A = [[M[i][j] for j in range(1, nc)] for i in range(1, nc)]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = next(r for r in range(c, n) if A[r][c] != 0)
-        A[c], A[piv] = A[piv], A[c]
-        inv[c], inv[piv] = inv[piv], inv[c]
-        s = 1 / A[c][c]
-        A[c] = [x * s for x in A[c]]
-        inv[c] = [x * s for x in inv[c]]
-        for r in range(n):
-            if r != c and A[r][c] != 0:
-                f = A[r][c]
-                A[r] = [x - f * y for x, y in zip(A[r], A[c])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[c])]
+    A = [row[1:] for row in M[1:]]
+    inv = _int_solve(A, [[int(i == j) for j in range(n)] for i in range(n)])
     # solution for right-hand side -e_{jq} is minus column jq-1; the omitted
     # identity-component row must give +1 (Q lies on a multiplicity-1
     # component)

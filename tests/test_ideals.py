@@ -2,12 +2,20 @@ import itertools
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import primerange
 
 from logdescent.ideals import (
+    ClassGroup,
+    Cokernel,
     LatticeIdeal,
+    LimitError,
+    _certify,
+    _prime_form,
+    _principal_test,
+    _reduce,
     class_group,
     field_selmer_basis,
     fundamental_unit,
@@ -160,7 +168,7 @@ def _kernel_lattice_oracle(cg, S):
             A[i][j] = c
     for i, d in enumerate(cg.coker.divisors):
         A[i][len(S) + i] = d
-    _, _, D, V = smith_normal_form(A)
+    _, _, D, V = smith_normal_form(A, with_v=True)
     rank = sum(1 for i in range(n) if D[i][i] != 0)
     return hnf([[V[i][j] for i in range(len(S))] for j in range(rank, ncols)])
 
@@ -293,3 +301,75 @@ def test_fundamental_units_match_continued_fractions():
         K = make_field(m)
         assert fundamental_unit(K) == K(a, b)
         assert K(a, b).norm() == 1
+
+
+# squarefree m != 0, 1 with |m| <= 1500
+FIELDS_1500 = st.integers(-1500, 1500).filter(
+    lambda m: m not in (0, 1) and all(m % (q * q) for q in range(2, 39)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(FIELDS_1500, st.data())
+def test_form_principality_matches_lattice(m, data):
+    K = make_field(m)
+    cg = class_group(K)
+    n = len(cg.factor_base)
+    vec = data.draw(st.lists(st.sampled_from([-2, -1, 0, 0, 0, 0, 1, 2, 3]),
+                             min_size=n, max_size=n))
+    # the same class times a principal ideal: vec minus the canonical
+    # vector of its own class
+    rel = [a - b for a, b in zip(vec, cg.coker.element_vector(list(cg.coker.coords(vec))))]
+    principal = _principal_test(K.disc)
+    # certification walks the classes in the order of all_elements
+    assert [c for c, _ in cg.class_forms()] == list(cg.coker.all_elements())
+    for v in (vec, rel):
+        assert principal(cg._vector_form(v)) == cg._ideal_from_fb_vector(v).is_principal()[0]
+    assert principal(cg._vector_form(rel))
+    assert principal(cg._vector_form([0] * n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(FIELDS_1500, st.sampled_from(list(primerange(2, 400))), st.data())
+def test_dlog_prime_table_matches_lattice(m, ell, data):
+    K = make_field(m)
+    cg = class_group(K)
+    pr = data.draw(st.sampled_from(primes_above(K, ell)))
+    c = cg.dlog_prime(pr)
+    vec = cg.coker.element_vector(list(c))
+    test = LatticeIdeal.from_prime(pr) * cg._ideal_from_fb_vector([-v for v in vec])
+    assert test.is_principal()[0]
+    # the table agrees with the relation-matrix coordinates of the factor base
+    for i, p in enumerate(cg.factor_base):
+        e = [int(i == j) for j in range(len(cg.factor_base))]
+        assert cg._form_table[_reduce(_prime_form(p), K.disc)] == cg.coker.coords(e)
+
+
+def _count_reduced_forms(D):
+    """h(D) for D < 0: the primitive forms (a, b, c) of discriminant D with
+    |b| <= a <= c, and b >= 0 if |b| = a or a = c."""
+    h = 0
+    a = 1
+    while 3 * a * a <= -D:
+        for b in range(-a + 1, a + 1):
+            if (b * b - D) % (4 * a):
+                continue
+            c = (b * b - D) // (4 * a)
+            if c < a or (c == a and b < 0):
+                continue
+            if math.gcd(a, b, c) == 1:
+                h += 1
+        a += 1
+    return h
+
+
+def test_class_numbers_against_reduced_form_count():
+    for m, h in ((-1019, 13), (-10007, 77), (-100003, 39)):
+        assert _count_reduced_forms(m) == h
+        assert class_group(make_field(m)).order == h
+
+
+def test_certification_limit_is_named():
+    K = make_field(-47)
+    cg = ClassGroup(K, primes_above(K, 2)[:1], Cokernel(1, [[200003]]))
+    with pytest.raises(LimitError, match="200003 is past the certification limit 200000"):
+        _certify(cg)

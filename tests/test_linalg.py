@@ -47,7 +47,8 @@ def test_snf_reconstruction_and_divisibility():
         n = rng.randint(1, 5)
         m = rng.randint(1, 5)
         A = random_matrix(rng, n, m)
-        U, Uinv, S, V = smith_normal_form(A)
+        U, Uinv, S, V = smith_normal_form(A, with_v=True)
+        assert smith_normal_form(A) == (U, Uinv, S, None)
         assert abs(det2plus(U)) == 1
         assert mat_mul(U, Uinv) == [[int(i == j) for j in range(n)] for i in range(n)]
         assert abs(det2plus(V)) == 1

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -17,35 +18,45 @@ from logdescent.qfield import make_field, primes_above
 from logdescent.tate import LocalData, component_index
 
 
+def _intersection_matrix(edges, nc):
+    """The integer intersection matrix: self-intersections -2, edges weighted."""
+    M = [[-2 * int(i == j) for j in range(nc)] for i in range(nc)]
+    for i, j, w in edges:
+        M[i][j] += w
+        M[j][i] += w
+    return M
+
+
+def _int_solve(A, B):
+    """X with A X = B for an invertible integer matrix A and integer B, by
+    fraction-free Gauss-Jordan elimination: rows stay integral (divided by
+    their content), and only the final quotients are Fractions."""
+    n = len(A)
+    rows = [list(a) + list(b) for a, b in zip(A, B)]
+    for c in range(n):
+        piv = next(r for r in range(c, n) if rows[r][c] != 0)
+        rows[c], rows[piv] = rows[piv], rows[c]
+        pc = rows[c]
+        for r in range(n):
+            if r != c and rows[r][c] != 0:
+                f, g = rows[r][c], pc[c]
+                row = [g * x - f * y for x, y in zip(rows[r], pc)]
+                d = math.gcd(*row)
+                rows[r] = [x // d for x in row]
+    return [[Fraction(x, rows[i][i]) for x in rows[i][n:]] for i in range(n)]
+
+
 def _solve_fibral(edges, nc, jq):
     """Solve Gamma_i . (G + [Q] - [O]) = 0 for i >= 1 with a_0 = 0.
 
     edges: list of (i, j, weight); all self-intersections are -2.
     Returns the coefficient vector a (a_0 = 0) and checks the Gamma_0 row.
     """
-    M = [[Fraction(0)] * nc for _ in range(nc)]
-    for i in range(nc):
-        M[i][i] = Fraction(-2)
-    for i, j, w in edges:
-        M[i][j] += w
-        M[j][i] += w
+    M = _intersection_matrix(edges, nc)
     # unknowns a_1..a_{nc-1}
-    n = nc - 1
-    A = [[M[i][j] for j in range(1, nc)] for i in range(1, nc)]
-    b = [Fraction(-1) if i == jq else Fraction(0) for i in range(1, nc)]
-    for c in range(n):
-        piv = next(r for r in range(c, n) if A[r][c] != 0)
-        A[c], A[piv] = A[piv], A[c]
-        b[c], b[piv] = b[piv], b[c]
-        inv = 1 / A[c][c]
-        A[c] = [x * inv for x in A[c]]
-        b[c] *= inv
-        for r in range(n):
-            if r != c and A[r][c] != 0:
-                f = A[r][c]
-                A[r] = [x - f * y for x, y in zip(A[r], A[c])]
-                b[r] -= f * b[c]
-    a = [Fraction(0)] + b
+    A = [row[1:] for row in M[1:]]
+    b = [[-1 if i == jq else 0] for i in range(1, nc)]
+    a = [Fraction(0)] + [x for (x,) in _int_solve(A, b)]
     # the identity-component equation must come out as +1
     assert sum(M[0][j] * a[j] for j in range(nc)) == 1
     return a
