@@ -2,7 +2,8 @@
 
 Curves are always given by their five a-invariants (labels may appear in
 shell comments only); field elements are written 'a+b*sqrt(m)' with exact
-rationals. Exit codes: 0 success, 1 input error, 2 hypothesis failure.
+rationals. Exit codes: 0 success, 1 input error or a computation past a
+documented limit (ideals.LimitError), 2 hypothesis failure.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .descent import (DescentContext, HypothesisError, descent_report, psi,
                       psi_vector, quadratic_point_search, sel_p_dim_if_applicable,
                       selmer_phi, selmer_phihat_dim)
 from .ellcurve import Curve, Point
+from .ideals import LimitError
 from .logpic import LogDivisor
 from .pairing import log_pairing, pairing_group
 from .qfield import QuadField, format_element, make_field, parse_element
@@ -329,7 +331,7 @@ def main(argv=None) -> int:
     try:
         args = ap.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except InputError as e:
+    except (InputError, LimitError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except HypothesisError as e:

@@ -7,11 +7,17 @@ Relations are read off the integer norms of small elements u + v*omega.
 
 Two principality tests are used. Certification and discrete logs only need a
 yes or no, and decide it on reduced binary quadratic forms (a, b, c) of
-discriminant disc(K) (Cohen, GTM 138, sections 5.2-5.6): a class is principal
+discriminant disc(K) (Cohen, GTM 138, sections 5.2-5.7): a class is principal
 iff its Gauss-reduced form has a = 1 (imaginary), or iff the rho-cycle of its
 reduced forms contains one with |a| = 1 (real). Where a generator is needed,
-``LatticeIdeal.is_principal`` finds one by lattice reduction (imaginary) or
-along the reduction cycle of the ideal's indefinite form (real).
+``LatticeIdeal.is_principal`` finds one by lattice reduction (imaginary).
+
+Real fields have one walk, ``_rho_cycle``: it rho-reduces an indefinite form
+and walks one lap of its reduced cycle, carrying the transform from the entry
+form. Its four consumers are ``_reduce``, ``_cycle`` (every reduced form of a
+class), ``LatticeIdeal.is_principal`` (the generator at the first form with
+|a| = 1) and ``fundamental_unit`` (the first unit other than +-1 met on the
+cycle of the unit ideal).
 
 Limits: certification enumerates the claimed group, so its order may be at
 most MAX_CERTIFIED_ORDER; the relation search gives up past the box bound
@@ -150,91 +156,20 @@ class LatticeIdeal:
         return False, None
 
     def _principal_real(self):
-        found = _real_cycle_search(self)
-        if found is None:
-            return False, None
-        return True, found
-
-
-def _form_of_ideal(I: LatticeIdeal) -> tuple[int, int, int, FieldElement, FieldElement]:
-    """Integral binary form N(x*b1 + y*b2)/N(I) of discriminant disc(K)."""
-    b1, b2 = I.basis_elements()
-    n = I.norm()
-    A = b1.norm() / n
-    B = (b1 * b2.conj() + b2 * b1.conj()).a / n
-    C = b2.norm() / n
-    if not A.denominator == B.denominator == C.denominator == 1:
-        raise RuntimeError(f"the form of the ideal {I} is not integral")
-    return int(A), int(B), int(C), b1, b2
-
-
-def _is_reduced_indef(A: int, B: int, C: int, sq: int) -> bool:
-    # |sqrt(D) - 2|A|| < B < sqrt(D), exact for nonsquare D
-    return 0 < B <= sq and B + 2 * abs(A) >= sq + 1 and 2 * abs(A) - B <= sq
-
-
-def _rho_step(A: int, B: int, C: int, sq: int) -> tuple[int, int, int, int]:
-    """One reduction step; returns (A', B', C', s) with the transform
-    [[0,-1],[1,s]]."""
-    ac = abs(C)
-    base = (-B) % (2 * ac)
-    if ac > sq:
-        B1 = base if base <= ac else base - 2 * ac
-    else:
-        B1 = base + ((sq - base) // (2 * ac)) * (2 * ac)
-    s = (B + B1) // (2 * C)
-    D = B * B - 4 * A * C
-    return C, B1, (B1 * B1 - D) // (4 * C), s
-
-
-def _mat_mul(m1, m2):
-    return [
-        [m1[0][0] * m2[0][0] + m1[0][1] * m2[1][0], m1[0][0] * m2[0][1] + m1[0][1] * m2[1][1]],
-        [m1[1][0] * m2[0][0] + m1[1][1] * m2[1][0], m1[1][0] * m2[0][1] + m1[1][1] * m2[1][1]],
-    ]
-
-
-def _real_cycle_search(I: LatticeIdeal, collect_units: bool = False):
-    """Walk the reduced cycle of the form of I. Returns a generator element
-    if |A| = 1 is hit (principal), else None. With collect_units, returns the
-    list of units found along the principal cycle."""
-    A, B, C, b1, b2 = _form_of_ideal(I)
-    D = B * B - 4 * A * C
-    if D != I.field.disc:
-        raise RuntimeError(f"the form of {I} has discriminant {D}, not {I.field.disc}")
-    sq = math.isqrt(D)
-    M = [[1, 0], [0, 1]]
-    while not _is_reduced_indef(A, B, C, sq):
-        A, B, C, s = _rho_step(A, B, C, sq)
-        M = _mat_mul(M, [[0, -1], [1, s]])
-    start = (A, B, C)
-    units = []
-
-    def candidate():
-        u, v = M[0][0], M[1][0]
-        return u * b1 + v * b2
-
-    x0 = candidate()
-    steps = 0
-    while True:
-        if abs(A) == 1:
-            x = candidate()
-            if collect_units:
-                if not (x.b == 0 and abs(x.a) == 1):
-                    units.append(x)
-            else:
-                return x
-        A, B, C, s = _rho_step(A, B, C, sq)
-        M = _mat_mul(M, [[0, -1], [1, s]])
-        steps += 1
-        if (A, B, C) == start:
-            if collect_units:
-                # the closed cycle multiplied the start basis by a unit of norm +1
-                units.append(candidate() / x0)
-            break
-        if steps > 10 * D + 100:
-            raise RuntimeError("reduction cycle failed to close")
-    return units if collect_units else None
+        # the form N(x*b1 + y*b2)/N(I), integral of discriminant disc(K)
+        b1, b2 = self.basis_elements()
+        n = self.norm()
+        f = (b1.norm() / n, (b1 * b2.conj() + b2 * b1.conj()).a / n, b2.norm() / n)
+        if any(x.denominator != 1 for x in f):
+            raise RuntimeError(f"the form of the ideal {self} is not integral")
+        A, B, C = map(int, f)
+        D = B * B - 4 * A * C
+        if D != self.field.disc:
+            raise RuntimeError(f"the form of {self} has discriminant {D}, not {self.field.disc}")
+        for (a, _, _), u, v in _rho_cycle((A, B, C), D):
+            if abs(a) == 1:
+                return True, u * b1 + v * b2
+        return False, None
 
 
 # -- binary quadratic forms ----------------------------------------------
@@ -290,6 +225,46 @@ def _compose(f, g, D: int) -> tuple[int, int, int]:
     return a3, b3, c3
 
 
+def _rho_step(A: int, B: int, C: int, sq: int) -> tuple[int, int, int, int]:
+    """One reduction step; returns (A', B', C', s) with the transform
+    [[0,-1],[1,s]]."""
+    ac = abs(C)
+    base = (-B) % (2 * ac)
+    if ac > sq:
+        B1 = base if base <= ac else base - 2 * ac
+    else:
+        B1 = base + ((sq - base) // (2 * ac)) * (2 * ac)
+    s = (B + B1) // (2 * C)
+    D = B * B - 4 * A * C
+    return C, B1, (B1 * B1 - D) // (4 * C), s
+
+
+def _rho_cycle(f, D: int):
+    """Rho-reduce the indefinite form f of discriminant D > 0, then walk one
+    lap of its reduced cycle, ending at the entry form again. Yields (g, u, v)
+    for each form g of the lap, where (u, v) is the first column of the
+    transform from f to g: for f the form of the basis (b1, b2) of an ideal,
+    u*b1 + v*b2 has norm a times the ideal's norm (Cohen, GTM 138, 5.6)."""
+    a, b, c = f
+    sq = math.isqrt(D)
+    # (u, v) and (u1, v1) are the two columns of the transform; the step
+    # [[0, -1], [1, s]] takes them to (u1, v1) and s*(u1, v1) - (u, v)
+    u, v, u1, v1 = 1, 0, 0, 1
+    # until reduced: |sqrt(D) - 2|a|| < b < sqrt(D), exact for nonsquare D
+    while not (0 < b <= sq and b + 2 * abs(a) >= sq + 1 and 2 * abs(a) - b <= sq):
+        a, b, c, s = _rho_step(a, b, c, sq)
+        u, v, u1, v1 = u1, v1, s * u1 - u, s * v1 - v
+    entry = (a, b, c)
+    yield entry, u, v
+    for _ in range(10 * D + 100):
+        a, b, c, s = _rho_step(a, b, c, sq)
+        u, v, u1, v1 = u1, v1, s * u1 - u, s * v1 - v
+        yield (a, b, c), u, v
+        if (a, b, c) == entry:
+            return
+    raise RuntimeError("reduction cycle failed to close")
+
+
 def _reduce(f, D: int) -> tuple[int, int, int]:
     """The reduced form of the class of f: Gauss reduction with |b| <= a <= c
     (imaginary), or a reduced form with a > 0 on the rho-cycle (real)."""
@@ -307,12 +282,10 @@ def _reduce(f, D: int) -> tuple[int, int, int]:
             if a == c and b < 0:
                 b = -b
             return a, b, c
-    sq = math.isqrt(D)
-    while not _is_reduced_indef(a, b, c, sq):
-        a, b, c, _ = _rho_step(a, b, c, sq)
-    if a < 0:
-        a, b, c, _ = _rho_step(a, b, c, sq)
-    return a, b, c
+    # the signs of a alternate along the cycle
+    for g, _, _ in _rho_cycle(f, D):
+        if g[0] > 0:
+            return g
 
 
 def _form_pow(f, e: int, D: int) -> tuple[int, int, int]:
@@ -333,15 +306,8 @@ def _cycle(f, D: int) -> list[tuple[int, int, int]]:
     """The reduced forms of the ideal class of the reduced real form f: its
     rho-cycle, and the negation (-a, b, -c) of each. The negated cycle is
     the narrow class of f times that of an element of negative norm."""
-    sq = math.isqrt(D)
-    out = [f]
-    while True:
-        a, b, c, _ = _rho_step(*out[-1], sq)
-        if (a, b, c) == f:
-            return out + [(-a, b, -c) for a, b, c in out]
-        out.append((a, b, c))
-        if len(out) > 10 * D + 100:
-            raise RuntimeError("reduction cycle failed to close")
+    lap = [g for g, _, _ in _rho_cycle(f, D)][:-1]
+    return lap + [(-a, b, -c) for a, b, c in lap]
 
 
 def _principal_test(D: int):
@@ -352,52 +318,31 @@ def _principal_test(D: int):
     return principal.__contains__
 
 
-# -- real embedding comparisons ------------------------------------------
-
-
-def real_sign(x: FieldElement) -> int:
-    """Sign of x under the embedding sqrt(m) > 0."""
-    if not x:
-        return 0
-    a, b = x.a, x.b
-    m = x.field.radicand
-    if b == 0:
-        return 1 if a > 0 else -1
-    if a == 0:
-        return 1 if b > 0 else -1
-    if a > 0 and b > 0:
-        return 1
-    if a < 0 and b < 0:
-        return -1
-    big_a = a * a > b * b * m
-    if big_a:
-        return 1 if a > 0 else -1
-    return 1 if b > 0 else -1
-
-
-def real_greater(x: FieldElement, y: FieldElement) -> bool:
-    return real_sign(x - y) > 0
-
-
 def fundamental_unit(field: QuadField) -> FieldElement:
-    """The fundamental unit > 1 of a real quadratic field."""
+    """The fundamental unit > 1 of a real quadratic field.
+
+    The generators u + v*omega that the rho-cycle of the unit ideal's form
+    meets at forms with |a| = 1 are units. The first one other than +-1 is
+    taken; if there is none, the unit that closes the cycle (norm +1). A
+    unit (A + B*sqrt(m))/D other than +-1 is > 1 iff A > 0 and B > 0, so
+    the result is (|A| + |B|*sqrt(m))/D.
+    """
     if not (field.degree == 2 and field.is_real):
         raise ValueError("fundamental unit needs a real quadratic field")
-    units = _real_cycle_search(LatticeIdeal.unit_ideal(field), collect_units=True)
-    if not units:
-        raise RuntimeError("no unit found on the principal cycle")
-    normalized = []
-    for u in units:
-        cands = [u, -u, u.inverse(), -u.inverse()]
-        big = [c for c in cands if real_greater(c, c.field(1))]
-        normalized.extend(big)
-    best = normalized[0]
-    for c in normalized[1:]:
-        if real_greater(best, c):
-            best = c
-    if abs(best.norm()) != 1:
-        raise RuntimeError(f"the fundamental unit {best} has norm {best.norm()}")
-    return best
+    # the unit ideal has the basis (1, omega) and the form (1, tr, nm)
+    entry = None
+    for (a, _, _), u, v in _rho_cycle((1, field.omega_trace, field.omega_norm), field.disc):
+        entry = entry or (u, v)
+        if abs(a) == 1 and (v or abs(u) != 1):
+            x = field.from_omega(u, v)
+            break
+    else:
+        # the lap multiplied the entry basis by a unit of norm +1
+        x = field.from_omega(u, v) / field.from_omega(*entry)
+    eps = FieldElement(field, abs(x.A), abs(x.B), x.D)
+    if abs(eps.norm()) != 1:
+        raise RuntimeError(f"the fundamental unit {eps} has norm {eps.norm()}")
+    return eps
 
 
 # -- fractional ideals in factored form ----------------------------------
@@ -803,29 +748,10 @@ def s_class_group(cg: ClassGroup, S: list[PrimeIdeal]) -> SClassGroup:
     return SClassGroup(cg, S)
 
 
-def theta_map(cg: ClassGroup, S: list[PrimeIdeal], residues: list[int], p: int) -> tuple[int, ...]:
-    """theta: (Z/p)^S -> Cl(K)/p, sum n_v * v mapped to its class mod p."""
-    acc = [0] * cg.coker.ngens
-    for pr, nv in zip(S, residues):
-        t = cg.dlog_prime(pr)
-        acc = [a + nv * b for a, b in zip(acc, t)]
-    # project to Cl/p coordinates: components with p | d
-    out = []
-    for i, d in enumerate(cg.coker.divisors):
-        if d and d % p == 0:
-            out.append(acc[i] % p)
-    return tuple(out)
-
-
 def theta_image_dim(cg: ClassGroup, S: list[PrimeIdeal], p: int) -> int:
-    """t = dim_Fp of the image of theta."""
-    from .linalg import fp_rank
-
-    rows = [list(theta_map(cg, [pr], [1], p)) for pr in S]
-    rows = [r for r in rows if r]
-    if not rows or not rows[0]:
-        return 0
-    return fp_rank(rows, p)
+    """t = dim_Fp of the image of theta: (Z/p)^S -> Cl(K)/p, sum n_v * v
+    mapped to its class. The cokernel of theta is Cl(O_{K,S})/p."""
+    return cg.coker.mod_p_dim(p) - s_class_group(cg, S).mod_p_dim(p)
 
 
 def s_unit_lattice(cg: ClassGroup, S: list[PrimeIdeal]) -> list[list[int]]:

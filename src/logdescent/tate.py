@@ -2,8 +2,8 @@
 the special fiber of the minimal regular model.
 
 Works over Q and over quadratic fields at any residue characteristic; the
-brute-force searches over residue fields only ever see q <= 9 (residue
-characteristic 2 or 3 in a quadratic field).
+one brute-force search over a residue field, for the singular point in
+residue characteristic 2, only ever sees q <= 4.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def _k_poly_gcd_roots(k: ResidueField, f_coeffs):
 
 def _singular_point(E: Curve, k: ResidueField):
     """The singular point of the reduced curve, as residue field elements."""
-    if k.ell >= 5:
+    if k.ell != 2:
         # complete the square: (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2b4 x + b6
         xs = _k_poly_gcd_roots(k, [E.b6, 2 * E.b4, E.b2, E.field(4)])
         assert len(xs) == 1
@@ -130,7 +130,7 @@ def _singular_point(E: Curve, k: ResidueField):
         inv2 = k.inv(k.from_int(2))
         y0 = k.neg(k.mul(inv2, k.add(k.mul(k.reduce(E.a1), x0), k.reduce(E.a3))))
         return x0, y0
-    assert k.q <= 81
+    # residue characteristic 2, so q <= 4
     a1, a2, a3, a4 = (k.reduce(a) for a in (E.a1, E.a2, E.a3, E.a4))
     for x0 in k.elements():
         for y0 in k.elements():

@@ -128,9 +128,12 @@ def _python(*args):
                           env=dict(os.environ, PYTHONPATH=src))
 
 
-def _run_optimized(argv):
-    """The CLI in a python -O subprocess, which strips assert statements."""
-    return _python("-O", "-m", "logdescent.cli", *argv)
+def _run_optimized(argv, setup=""):
+    """The CLI in a python -O subprocess, which strips assert statements, as
+    python -m runs it; setup is Python source run first in that process."""
+    return _python("-O", "-c", f"import runpy, sys\n{setup}\n"
+                               f"sys.argv = ['logdescent.cli', *{argv!r}]\n"
+                               "runpy.run_module('logdescent.cli', run_name='__main__')")
 
 
 def test_non_torsion_point_rejected_under_optimize():
@@ -217,6 +220,22 @@ def test_internal_assertion_is_not_an_input_error(monkeypatch):
     monkeypatch.setattr(descent, "isogeny_from_kernel_point", broken)
     with pytest.raises(AssertionError, match="Velu invariant"):
         main(["classify", *ARGS_11A_47])
+
+
+def test_limit_error_is_reported(monkeypatch, capsys):
+    # a class group past the certification limit is a documented limit of the
+    # package, reported like an input it does not accept
+    from logdescent import ideals
+    monkeypatch.setattr(ideals, "MAX_CERTIFIED_ORDER", 1)
+    monkeypatch.setattr(ideals, "_CLASS_GROUP_CACHE", {})
+    message = "error: class group order 5 is past the certification limit 1"
+    code, out, err = _run(capsys, ["selmer", *ARGS_11A_47])
+    assert code == 1 and out == ""
+    assert message in err and "Traceback" not in err
+    proc = _run_optimized(["selmer", *ARGS_11A_47],
+                          setup="from logdescent import ideals\nideals.MAX_CERTIFIED_ORDER = 1")
+    assert proc.returncode == 1
+    assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_exit_code_hypothesis_failure(capsys):

@@ -20,12 +20,11 @@ from logdescent.ideals import (
     field_selmer_basis,
     fundamental_unit,
     ideal_generator,
-    real_greater,
     s_class_group,
     s_unit_lattice,
     theta_image_dim,
 )
-from logdescent.linalg import hnf, smith_normal_form
+from logdescent.linalg import fp_rank, hnf, smith_normal_form
 from logdescent.qfield import make_field, prime_divisors, primes_above
 
 KNOWN_H = {
@@ -72,6 +71,33 @@ def test_frac_ideal_of_element_is_principal():
     assert abs(u.norm()) == 1 and prime_divisors(K, u) == {}
 
 
+# -- real embedding comparisons, an oracle independent of the rho-cycle ------
+
+
+def _real_sign(x):
+    """Sign of x under the embedding sqrt(m) > 0."""
+    if not x:
+        return 0
+    a, b = x.a, x.b
+    m = x.field.radicand
+    if b == 0:
+        return 1 if a > 0 else -1
+    if a == 0:
+        return 1 if b > 0 else -1
+    if a > 0 and b > 0:
+        return 1
+    if a < 0 and b < 0:
+        return -1
+    big_a = a * a > b * b * m
+    if big_a:
+        return 1 if a > 0 else -1
+    return 1 if b > 0 else -1
+
+
+def _real_greater(x, y):
+    return _real_sign(x - y) > 0
+
+
 def test_fundamental_units():
     K2 = make_field(2)
     eps = fundamental_unit(K2)
@@ -86,7 +112,7 @@ def test_fundamental_units():
     assert fundamental_unit(K10) == K10(3) + K10.sqrt_gen()
     for eps in (eps, eps5, eps229):
         assert abs(eps.norm()) == 1
-        assert real_greater(eps, eps.field(1))
+        assert _real_greater(eps, eps.field(1))
 
 
 def test_s_class_group_and_theta():
@@ -294,13 +320,21 @@ def test_fundamental_units_match_continued_fractions():
     for m in squarefree:
         eps = fundamental_unit(make_field(m))
         assert abs(eps.norm()) == 1, m
-        assert real_greater(eps, eps.field(1)), m
+        assert _real_greater(eps, eps.field(1)), m
         assert eps == _continued_fraction_unit(m), m
     # norm +1 units, the closing step of the principal cycle
     for m, a, b in ((19, 170, 39), (94, 2143295, 221064), (151, 1728148040, 140634693)):
         K = make_field(m)
         assert fundamental_unit(K) == K(a, b)
         assert K(a, b).norm() == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(300, 10 ** 5 - 1).filter(lambda m: all(m % (q * q) for q in range(2, 317))))
+def test_fundamental_unit_matches_continued_fraction(m):
+    eps = fundamental_unit(make_field(m))
+    assert eps == _continued_fraction_unit(m)
+    assert abs(eps.norm()) == 1 and _real_greater(eps, eps.field(1))
 
 
 # squarefree m != 0, 1 with |m| <= 1500
@@ -360,6 +394,25 @@ def _count_reduced_forms(D):
                 h += 1
         a += 1
     return h
+
+
+def _theta_image_dim_oracle(cg, S, p):
+    """The F_p-rank of the rows dlog_prime(v) mod p, v in S, on the cyclic
+    factors of Cl(K) of order divisible by p."""
+    rows = [[c % p for c, d in zip(cg.dlog_prime(pr), cg.coker.divisors) if d % p == 0]
+            for pr in S]
+    rows = [r for r in rows if r]
+    return fp_rank(rows, p) if rows else 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(FIELDS_1500, st.sampled_from([3, 5, 7]), st.data())
+def test_theta_image_dim_matches_rank_oracle(m, p, data):
+    K = make_field(m)
+    cg = class_group(K)
+    places = [pr for ell in primerange(2, 60) for pr in primes_above(K, ell)]
+    S = data.draw(st.lists(st.sampled_from(places), max_size=5, unique=True))
+    assert theta_image_dim(cg, S, p) == _theta_image_dim_oracle(cg, S, p)
 
 
 def test_class_numbers_against_reduced_form_count():

@@ -9,7 +9,7 @@ import logdescent.tate as tate_module
 from logdescent.ellcurve import Curve, curve_from_rational
 from logdescent.isogeny import tate
 from logdescent.pairing import bad_places
-from logdescent.qfield import make_field, primes_above
+from logdescent.qfield import ResidueField, make_field, primes_above
 from logdescent.tate import component_index, e_entry, has_singular_reduction, tate_local_data
 
 Q = make_field(None)
@@ -296,3 +296,41 @@ def test_singular_reduction_flag():
     P = E.point(5, 5)
     assert has_singular_reduction(ld, P, E)
     assert not has_singular_reduction(ld, E.zero(), E)
+
+
+def _singular_point_search(E, k):
+    """The singular point of the reduced curve, by trying every (x, y) in
+    k x k."""
+    for x0 in k.elements():
+        for y0 in k.elements():
+            x, y = k.lift(x0), k.lift(y0)
+            fx = E.a1 * y - 3 * x * x - 2 * E.a2 * x - E.a4
+            fy = 2 * y + E.a1 * x + E.a3
+            if all(k.is_zero(k.reduce(g)) for g in (E.equation_value(x, y), fx, fy)):
+                return x0, y0
+    raise AssertionError("no singular point")
+
+
+def test_singular_point_at_three_matches_search():
+    # curves singular at (0, 0) mod pi, moved by a random (r, s, t), at the
+    # primes above 3 of Q and of fields where 3 splits, is inert or ramifies;
+    # a1 = a2 = 0 mod pi gives cusps, where f' vanishes mod 3
+    rng = random.Random(3)
+    kinds = set()
+    for m in (None, 7, -5, -1, 2, 6, -3):
+        K = make_field(m)
+
+        def rnd():
+            return K(rng.randint(-9, 9), rng.randint(-9, 9) if m else 0)
+        for pr in primes_above(K, 3):
+            k, pi = ResidueField(pr), pr.uniformizer()
+            for _ in range(25):
+                a1, a2 = (rng.choice([K(0), pi * rnd(), rnd()]) for _ in range(2))
+                try:
+                    E = Curve(K, a1, a2, pi * rnd(), pi * rnd(), pi * rnd())
+                except ValueError:
+                    continue
+                E = E.transform(K(1), rnd(), rnd(), rnd())
+                assert tate_module._singular_point(E, k) == _singular_point_search(E, k)
+                kinds.add((k.q, k.is_zero(k.reduce(E.b2))))
+    assert kinds == {(3, True), (3, False), (9, True), (9, False)}
