@@ -14,8 +14,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .ellcurve import Curve, Point
-from .ideals import (FieldSelmerBasis, SClassGroup, class_group, field_selmer_basis,
-                     s_class_group)
+from .ideals import (FieldSelmerBasis, LimitError, SClassGroup, class_group,
+                     field_selmer_basis, s_class_group)
 from .isogeny import PlaceClassification, classify_place, isogeny_from_kernel_point
 from .linalg import fp_kernel, fp_rank, fp_solve
 from .localfield import LocalUnitGroup
@@ -151,7 +151,8 @@ class H1Coordinates:
                     return
             if not self.gens and len(self.rows) > self.EXTRA:
                 return
-        raise RuntimeError("ran out of auxiliary evaluation places")
+        raise LimitError(f"auxiliary places above primes below the cap {self.CAP} "
+                         "(descent.H1Coordinates.CAP) do not separate the H^1 generators")
 
     def _candidates(self):
         K = self.field
@@ -205,7 +206,8 @@ class SelmerGroup:
 def local_unit_coords(lug: LocalUnitGroup, x: FieldElement) -> tuple[int, ...]:
     """Coordinates of the class of x in O_v^*/p for v(x) = 0 mod p."""
     v = lug.pr.val(x)
-    assert v % lug.p == 0, "element is ramified at a place where it must not be"
+    if v % lug.p:
+        raise RuntimeError("element is ramified at a place where it must not be")
     if v:
         x = x * lug.pr.uniformizer() ** (-v)
     return lug.coords(x)
@@ -380,9 +382,8 @@ def psi_sel(ctx: DescentContext, x: FieldElement) -> LogDivisor:
     """rho: H^1(U_1, mu_p) -> logPic(X, S_1)[p], x -> (1/p) div(x)."""
     D = LogDivisor.of_element(x)
     for pr, e in D.coeffs.items():
-        if pr not in ctx.S1:
-            assert e.denominator == 1 and e % ctx.p == 0, \
-                "divisor is not p-divisible outside S_1"
+        if pr not in ctx.S1 and (e.denominator != 1 or e % ctx.p):
+            raise ValueError("divisor is not p-divisible outside S_1")
     return Fraction(1, ctx.p) * D
 
 
@@ -475,7 +476,8 @@ def quadratic_point_search(Eprime, P, p: int, xbound: int):
     x-coordinate and the resulting psi values.
 
     E' and P are over Q; yields (field, point, psi divisor)."""
-    assert Eprime.field.is_rational
+    if not Eprime.field.is_rational:
+        raise ValueError("the quadratic point search needs a curve over Q")
     seen = set()
     results = []
     ctx_cache: dict[int, tuple] = {}

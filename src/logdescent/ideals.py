@@ -5,10 +5,14 @@ normal form, then certified by exhaustively testing every nonzero candidate
 class for principality (any principal survivor is fed back as a relation).
 Relations are read off the integer norms of small elements u + v*omega.
 
+Ideals and classes share one representation, binary quadratic forms (a, b, c)
+of discriminant disc(K) (Cohen, GTM 138, sections 5.2-5.7). A ``LatticeIdeal``
+is n*[a, (-b + sqrt(D))/2], a content n and a primitive form, and ideals
+multiply by composing their forms.
+
 Two principality tests are used. Certification and discrete logs only need a
-yes or no, and decide it on reduced binary quadratic forms (a, b, c) of
-discriminant disc(K) (Cohen, GTM 138, sections 5.2-5.7): a class is principal
-iff its Gauss-reduced form has a = 1 (imaginary), or iff the rho-cycle of its
+yes or no, and decide it on reduced forms: a class is principal iff its
+Gauss-reduced form has a = 1 (imaginary), or iff the rho-cycle of its
 reduced forms contains one with |a| = 1 (real). Where a generator is needed,
 ``LatticeIdeal.is_principal`` finds one by lattice reduction (imaginary).
 
@@ -48,51 +52,46 @@ class LimitError(RuntimeError):
 
 
 class LatticeIdeal:
-    """A fractional ideal as a Z-lattice: rows over the basis (1, omega),
-    divided by den."""
+    """The integral ideal n*[a, (-b + sqrt(D))/2] of O_K: a content n and a
+    primitive form (a, b, c) of discriminant D = disc(K), with a > 0.
 
-    def __init__(self, field: QuadField, rows: list[list[int]], den: int = 1):
+    Products compose the forms (Cohen, GTM 138, 5.4). ``rows`` is the HNF
+    basis of the lattice over (1, omega), which the generator searches
+    read."""
+
+    def __init__(self, field: QuadField, n: int, form: tuple[int, int, int]):
         self.field = field
-        rows = hnf([list(r) for r in rows])
-        if len(rows) != 2:
-            raise ValueError("ideal lattice must have rank 2")
-        g = math.gcd(math.gcd(rows[0][0], rows[1][0]), math.gcd(rows[0][1], rows[1][1]))
-        g = math.gcd(g, den) if den else g
-        if g > 1:
-            rows = [[x // g for x in r] for r in rows]
-            den //= g
-        self.rows = rows
-        self.den = den
-
-    @classmethod
-    def from_elements(cls, field: QuadField, gens: list[FieldElement]) -> "LatticeIdeal":
-        w = field.omega()
-        coords = [h.integer_coords() for g in gens for h in (g, g * w)]
-        den = math.lcm(*(d for _, _, d in coords)) if coords else 1
-        rows = [[A * (den // d), B * (den // d)] for A, B, d in coords]
-        return cls(field, rows, den)
+        self.n = n
+        self.form = form
 
     @classmethod
     def from_prime(cls, prime: PrimeIdeal) -> "LatticeIdeal":
-        K = prime.field
-        return cls.from_elements(K, [K(prime.ell), prime.second_gen()])
+        if prime.kind == "inert":
+            return cls(prime.field, prime.ell, _principal_form(prime.field.disc))
+        return cls(prime.field, 1, _prime_form(prime))
 
     @classmethod
     def unit_ideal(cls, field: QuadField) -> "LatticeIdeal":
-        return cls.from_elements(field, [field(1)])
+        return cls(field, 1, _principal_form(field.disc))
+
+    @cached_property
+    def rows(self) -> list[list[int]]:
+        n, (a, b, _) = self.n, self.form
+        # (-b + sqrt(D))/2 = omega - (b + tr)/2
+        return hnf([[n * a, 0], [-n * ((b + self.field.omega_trace) // 2), n]])
 
     def basis_elements(self) -> tuple[FieldElement, FieldElement]:
         K = self.field
-        return K.from_omega(*self.rows[0], self.den), K.from_omega(*self.rows[1], self.den)
+        return K.from_omega(*self.rows[0]), K.from_omega(*self.rows[1])
 
-    def norm(self) -> Fraction:
-        det = abs(self.rows[0][0] * self.rows[1][1] - self.rows[0][1] * self.rows[1][0])
-        return Fraction(det, self.den * self.den)
+    def norm(self) -> int:
+        return self.n * self.n * self.form[0]
 
     def __mul__(self, other: "LatticeIdeal") -> "LatticeIdeal":
-        b1, b2 = self.basis_elements()
-        c1, c2 = other.basis_elements()
-        return LatticeIdeal.from_elements(self.field, [b1 * c1, b1 * c2, b2 * c1, b2 * c2])
+        f = _compose(self.form, other.form, self.field.disc)
+        # the product of the primitive parts is m*[a3, ...], a1*a2 = m^2*a3
+        m = math.isqrt(self.form[0] * other.form[0] // f[0])
+        return LatticeIdeal(self.field, self.n * other.n * m, f)
 
     def __pow__(self, n: int) -> "LatticeIdeal":
         if n < 0:
@@ -107,17 +106,8 @@ class LatticeIdeal:
         return r
 
     def conjugate(self) -> "LatticeIdeal":
-        b1, b2 = self.basis_elements()
-        return LatticeIdeal.from_elements(self.field, [b1.conj(), b2.conj()])
-
-    def key(self):
-        return (tuple(self.rows[0]), tuple(self.rows[1]), self.den)
-
-    def __eq__(self, other):
-        return isinstance(other, LatticeIdeal) and self.field == other.field and self.key() == other.key()
-
-    def __hash__(self):
-        return hash((self.field.disc,) + self.key())
+        a, b, c = self.form
+        return LatticeIdeal(self.field, self.n, (a, -b, c))
 
     def __repr__(self):
         b1, b2 = self.basis_elements()
@@ -189,10 +179,16 @@ def _prime_form(p: PrimeIdeal) -> tuple[int, int, int]:
     return p.ell, 2 * w - tr, (w * w - tr * w + nm) // p.ell
 
 
+def _principal_form(D: int) -> tuple[int, int, int]:
+    """The unreduced form (1, D mod 2, (D mod 2 - D)/4), whose ideal
+    [1, (-b + sqrt(D))/2] is O_K itself."""
+    b = D % 2
+    return 1, b, (b - D) // 4
+
+
 def _unit_form(D: int) -> tuple[int, int, int]:
     """The reduced form of the principal class."""
-    b = D % 2
-    return _reduce((1, b, (b - D) // 4), D)
+    return _reduce(_principal_form(D), D)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -348,7 +344,7 @@ def fundamental_unit(field: QuadField) -> FieldElement:
 # -- fractional ideals in factored form ----------------------------------
 
 
-def _class_lattice(field: QuadField, pairs) -> tuple[LatticeIdeal, Fraction]:
+def _class_lattice(field: QuadField, pairs) -> tuple[LatticeIdeal, int]:
     """(I * conj(J), N(J)) for prod p^e = I/J over the (prime, exponent)
     pairs, I and J integral. Since J * conj(J) = (N(J)), the lattice lies
     in the class of prod p^e, and a generator g of it gives g / N(J) of
@@ -419,21 +415,6 @@ class Cokernel:
     def nontrivial_indices(self) -> list[int]:
         return [i for i, d in enumerate(self.divisors) if d != 1]
 
-    def all_elements(self):
-        """Exponent coordinate tuples of every element (finite groups only)."""
-        idx = self.nontrivial_indices()
-        if not idx:
-            yield tuple([0] * self.ngens)
-            return
-        ranges = [range(self.divisors[i]) for i in idx]
-        import itertools
-
-        for combo in itertools.product(*ranges):
-            full = [0] * self.ngens
-            for i, c in zip(idx, combo):
-                full[i] = c
-            yield tuple(full)
-
     def element_vector(self, coords) -> list[int]:
         """A Z^n vector with the given quotient coordinates."""
         return [
@@ -500,8 +481,8 @@ class ClassGroup:
 
     def class_forms(self):
         """(coordinates, reduced form) of every element of the presented
-        group, in the order of Cokernel.all_elements, by one composition per
-        element."""
+        group, in lexicographic order of the coordinates on the nontrivial
+        factors, by one composition per element."""
         coker = self.coker
         D = self.field.disc
         idx = coker.nontrivial_indices()
@@ -547,12 +528,6 @@ class ClassGroup:
                 raise RuntimeError("discrete log failed; class group data inconsistent")
         self._prime_dlog_cache[prime] = out
         return out
-
-    def coords_add(self, a, b, sign: int = 1):
-        return tuple(
-            (x + sign * y) % d if (d := self.coker.divisors[i]) else x + sign * y
-            for i, (x, y) in enumerate(zip(a, b))
-        )
 
 
 _CLASS_GROUP_CACHE: dict[int, ClassGroup] = {}

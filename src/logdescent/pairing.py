@@ -54,7 +54,8 @@ def fibral_coefficient(ld: LocalData, jq: int, jr: int) -> Fraction:
             3: (Fraction(1, 2), Fraction(n + 2, 4), Fraction(n + 4, 4)),
         }
         return rows[jq][jr - 1]
-    assert t in ("II", "II*")
+    if t not in ("II", "II*"):
+        raise RuntimeError(f"no fibral coefficients for Kodaira type {t}")
     return Fraction(0)
 
 

@@ -238,6 +238,18 @@ def test_limit_error_is_reported(monkeypatch, capsys):
     assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_auxiliary_place_cap_is_reported(monkeypatch, capsys):
+    # too few auxiliary places for the H^1 coordinates is a documented limit;
+    # the report builds H1Coordinates (selmer does not)
+    from logdescent.descent import H1Coordinates
+    monkeypatch.setattr(H1Coordinates, "CAP", 6)
+    code, out, err = _run(capsys, ["report", *ARGS_11A_47, "--point", "4,-1/2+1/2*sqrt(-47)",
+                                   "--point=-2,-1/2+1/2*sqrt(-47)"])
+    assert code == 1 and out == ""
+    assert "error: auxiliary places above primes below the cap 6" in err
+    assert "H1Coordinates.CAP" in err and "Traceback" not in err
+
+
 def test_exit_code_hypothesis_failure(capsys):
     code, _, err = _run(capsys, ["selmer", "--a1", "-6", "--a3", "2",
                                  "--p", "3", "--P", "0,0"])

@@ -271,7 +271,7 @@ def test_psi_sel_on_units_and_integers():
     D = psi_sel(ctx, K(11))
     assert not T.group.is_zero(D)
     assert T.group.is_zero(5 * D)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="not p-divisible outside S_1"):
         psi_sel(ctx, K(7))
 
 
@@ -299,6 +299,12 @@ def test_descent_report_sqrt_2_kernel_of_psi():
     # ker psi on E'(K)/phi E(K) is generated by the image of Q
     assert rep.ker_psi_dim == 1
     assert rep.sha_phi.upper == 0
+
+
+def test_quadratic_point_search_needs_a_rational_curve():
+    ctx = _ctx_11a(-47)
+    with pytest.raises(ValueError, match="needs a curve over Q"):
+        quadratic_point_search(ctx.Eprime, ctx.P, 5, 2)
 
 
 def test_quadratic_point_search_finds_sqrt_m47():

@@ -13,6 +13,7 @@ from logdescent.ideals import (
     LatticeIdeal,
     LimitError,
     _certify,
+    _class_lattice,
     _prime_form,
     _principal_test,
     _reduce,
@@ -58,7 +59,7 @@ def test_dlog_and_principality():
     assert ok and abs(g.norm()) == 32
     # conjugate class is the inverse
     tbar = cg.dlog_prime(p2.conjugate())
-    assert cg.coords_add(t, tbar) == cg.identity()
+    assert tuple((x + y) % d for x, y, d in zip(t, tbar, cg.coker.divisors)) == cg.identity()
 
 
 def test_frac_ideal_of_element_is_principal():
@@ -237,6 +238,17 @@ def test_s_class_map_matches_oracles(m, data):
             assert lift == _s_combination_oracle(cg, S, [-p * c for c in Ic])
 
 
+def _all_elements(coker):
+    """Coordinate tuples of every element of a finite Cokernel, in the
+    lexicographic order of the nontrivial factors."""
+    idx = coker.nontrivial_indices()
+    for combo in itertools.product(*(range(coker.divisors[i]) for i in idx)):
+        full = [0] * coker.ngens
+        for i, c in zip(idx, combo):
+            full[i] = c
+        yield tuple(full)
+
+
 def _fraction_inverse(U):
     """U^-1 by Gauss-Jordan elimination over Q."""
     n = len(U)
@@ -273,7 +285,7 @@ def test_smith_form_inverse_matches_fraction_oracle(m, data):
     S = data.draw(st.lists(st.sampled_from(_small_places(K)), max_size=4, unique=True))
     for coker in (cg.coker, s_class_group(cg, S)):
         assert coker.Uinv == _fraction_inverse(coker.U)
-        for c in coker.all_elements():
+        for c in _all_elements(coker):
             assert coker.coords(coker.element_vector(list(c))) == c
 
 
@@ -354,8 +366,8 @@ def test_form_principality_matches_lattice(m, data):
     # vector of its own class
     rel = [a - b for a, b in zip(vec, cg.coker.element_vector(list(cg.coker.coords(vec))))]
     principal = _principal_test(K.disc)
-    # certification walks the classes in the order of all_elements
-    assert [c for c, _ in cg.class_forms()] == list(cg.coker.all_elements())
+    # certification walks every class once, in lexicographic order
+    assert [c for c, _ in cg.class_forms()] == list(_all_elements(cg.coker))
     for v in (vec, rel):
         assert principal(cg._vector_form(v)) == cg._ideal_from_fb_vector(v).is_principal()[0]
     assert principal(cg._vector_form(rel))
@@ -376,6 +388,71 @@ def test_dlog_prime_table_matches_lattice(m, ell, data):
     for i, p in enumerate(cg.factor_base):
         e = [int(i == j) for j in range(len(cg.factor_base))]
         assert cg._form_table[_reduce(_prime_form(p), K.disc)] == cg.coker.coords(e)
+
+
+# -- ideal products by composition against the former lattice product -------
+
+
+def _lattice_of(K, gens):
+    """(HNF rows, den) of the Z-span of gens and gens*omega over (1, omega),
+    divided through by the content common to the rows and den."""
+    w = K.omega()
+    coords = [h.integer_coords() for g in gens for h in (g, g * w)]
+    den = math.lcm(*(d for _, _, d in coords))
+    rows = hnf([[A * (den // d), B * (den // d)] for A, B, d in coords])
+    g = math.gcd(*(x for r in rows for x in r), den)
+    return [[x // g for x in r] for r in rows], den // g
+
+
+def _lattice_basis(K, L):
+    rows, den = L
+    return [K.from_omega(*r, den) for r in rows]
+
+
+def _lattice_mul(K, L1, L2):
+    return _lattice_of(K, [x * y for x in _lattice_basis(K, L1) for y in _lattice_basis(K, L2)])
+
+
+def _lattice_conj(K, L):
+    return _lattice_of(K, [x.conj() for x in _lattice_basis(K, L)])
+
+
+def _lattice_norm(L):
+    (a, b), (c, d) = L[0]
+    return Fraction(abs(a * d - b * c), L[1] ** 2)
+
+
+def _class_lattice_oracle(K, pairs):
+    """(rows of I * conj(J), N(J)) for prod p^e = I/J, by lattice products."""
+    I = J = _lattice_of(K, [K(1)])
+    for pr, e in pairs:
+        P = _lattice_of(K, [K(pr.ell), pr.second_gen()])
+        for _ in range(abs(e)):
+            if e > 0:
+                I = _lattice_mul(K, I, P)
+            else:
+                J = _lattice_mul(K, J, P)
+    return _lattice_mul(K, I, _lattice_conj(K, J)), _lattice_norm(J)
+
+
+@settings(max_examples=60, deadline=None)
+@given(FIELDS_1500, st.data())
+def test_form_products_match_lattice_products(m, data):
+    K = make_field(m)
+    places = [pr for ell in primerange(2, 60) for pr in primes_above(K, ell)]
+    chosen = data.draw(st.lists(st.sampled_from(places), min_size=1, max_size=3, unique=True))
+    pairs = [(pr, data.draw(st.integers(-4, 4))) for pr in chosen]
+    L, nJ = _class_lattice(K, pairs)
+    (rows, den), nJ_oracle = _class_lattice_oracle(K, pairs)
+    assert den == 1
+    assert L.rows == rows
+    assert L.norm() == _lattice_norm((rows, den))
+    assert nJ == nJ_oracle
+    for pr in chosen:
+        Pbar = LatticeIdeal.from_prime(pr).conjugate()
+        oracle = _lattice_conj(K, _lattice_of(K, [K(pr.ell), pr.second_gen()]))
+        assert (Pbar.rows, 1) == oracle
+        assert Pbar.norm() == pr.norm() == _lattice_norm(oracle)
 
 
 def _count_reduced_forms(D):
@@ -419,6 +496,14 @@ def test_class_numbers_against_reduced_form_count():
     for m, h in ((-1019, 13), (-10007, 77), (-100003, 39)):
         assert _count_reduced_forms(m) == h
         assert class_group(make_field(m)).order == h
+
+
+def test_relation_bound_is_named(monkeypatch):
+    from logdescent import ideals
+    monkeypatch.setattr(ideals, "MAX_RELATION_BOUND", 12)
+    monkeypatch.setattr(ideals, "_CLASS_GROUP_CACHE", {})
+    with pytest.raises(LimitError, match="disc -47 passed the box bound 12"):
+        class_group(make_field(-47))
 
 
 def test_certification_limit_is_named():
