@@ -87,7 +87,8 @@ class Curve:
 
     def base_change(self, field: QuadField) -> "Curve":
         """The same model read over a quadratic extension of Q."""
-        assert self.field.is_rational and not field.is_rational
+        if not self.field.is_rational or field.is_rational:
+            raise ValueError(f"base change goes from Q to a quadratic field, not {self.field!r} to {field!r}")
         return Curve(field, *[field(a.a) for a in self.ainvs])
 
     def transform(self, u, r, s, t) -> "Curve":
@@ -98,13 +99,24 @@ class Curve:
         s = s if isinstance(s, FieldElement) else K(s)
         t = t if isinstance(t, FieldElement) else K(t)
         a1, a2, a3, a4, a6 = self.ainvs
-        ui = u.inverse()
-        na1 = (a1 + 2 * s) * ui
-        na2 = (a2 - s * a1 + 3 * r - s * s) * ui ** 2
-        na3 = (a3 + r * a1 + 2 * t) * ui ** 3
-        na4 = (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) * ui ** 4
-        na6 = (a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1) * ui ** 6
-        return Curve(K, na1, na2, na3, na4, na6)
+        na1 = a1 + 2 * s
+        na2 = a2 - s * a1 + 3 * r - s * s
+        na3 = a3 + r * a1 + 2 * t
+        na4 = a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t
+        na6 = a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1
+        disc = self.disc
+        if u.B or u.A != u.D:
+            # u != 1: scale by u^-i, and disc' = u^-12 disc
+            ui = u.inverse()
+            ui2 = ui * ui
+            ui3 = ui2 * ui
+            ui6 = ui3 * ui3
+            na1, na2, na3, na4, na6 = na1 * ui, na2 * ui2, na3 * ui3, na4 * ui2 * ui2, na6 * ui6
+            disc = disc * ui6 * ui6
+        E = object.__new__(Curve)
+        E.field = K
+        E.a1, E.a2, E.a3, E.a4, E.a6, E.disc = na1, na2, na3, na4, na6, disc
+        return E
 
     def map_point(self, P: "Point", u, r, s, t) -> "Point":
         """Image of P on self.transform(u, r, s, t)."""
@@ -154,11 +166,13 @@ class Curve:
 
     def kernel_polynomial(self, P: "Point", p: int) -> Poly:
         """prod (x - x(iP)) for i = 1..(p-1)/2, P of odd prime order p."""
-        assert p % 2 == 1
+        if p % 2 != 1:
+            raise ValueError(f"kernel polynomial needs an odd prime, not {p}")
         out = Poly(self.field, [1])
         Q = P
         for _ in range((p - 1) // 2):
-            assert not Q.is_zero()
+            if Q.is_zero():
+                raise ValueError(f"{P} does not have order {p}")
             out = out * Poly(self.field, [-Q.x, 1])
             Q = Q + P
         return out
@@ -193,7 +207,8 @@ class Point:
 
     def __add__(self, other: "Point") -> "Point":
         E = self.curve
-        assert other.curve == E
+        if other.curve is not E and other.curve != E:
+            raise ValueError(f"cannot add points of {E} and {other.curve}")
         if self.is_zero():
             return other
         if other.is_zero():

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .ellcurve import Curve, Point
 from .polyring import Poly, gcd, interpolate, resultant
@@ -24,25 +25,36 @@ from .tate import LocalData
 
 @dataclass
 class Isogeny:
-    """A p-isogeny given by x-map Nx/Dx; iso is an optional post-composed
-    isomorphism (u,r,s,t) from the Velu codomain to the stated codomain."""
+    """A normalized Velu p-isogeny with kernel polynomial kernel_poly; iso is
+    an optional post-composed isomorphism (u,r,s,t) from the Velu codomain
+    to the stated codomain. The x-map Nx/Dx is built on first use."""
 
     domain: Curve
     codomain: Curve
     p: int
     kernel_poly: Poly
-    Nx: Poly
-    Dx: Poly
     velu_codomain: Curve
     iso: tuple | None = None
 
     @property
     def z_squared(self) -> FieldElement:
-        """z^2 for the differential scaling psi* w' = z w."""
-        z2 = self.Dx.lc() / self.Nx.lc()
-        if self.iso is not None:
-            z2 = z2 * self.iso[0] ** 2
-        return z2
+        """z^2 for the differential scaling psi* w' = z w: Dx.lc()/Nx.lc(),
+        which is 1 since Nx and Dx are monic, times u^2 through iso."""
+        if self.iso is None:
+            return self.domain.field.one()
+        return self.iso[0] ** 2
+
+    @cached_property
+    def x_map(self) -> tuple:
+        return _velu_x_map(self.domain, self.kernel_poly)
+
+    @property
+    def Nx(self) -> Poly:
+        return self.x_map[0]
+
+    @property
+    def Dx(self) -> Poly:
+        return self.x_map[1]
 
     def __call__(self, P: Point) -> Point:
         E2 = self.velu_codomain
@@ -62,27 +74,35 @@ class Isogeny:
         return Q
 
 
+def _velu_polys(E: Curve) -> tuple:
+    """t(x) = 6x^2 + b2 x + b4 and u(x) = 4x^3 + b2 x^2 + 2b4 x + b6."""
+    K = E.field
+    return Poly(K, [E.b4, E.b2, 6]), Poly(K, [E.b6, 2 * E.b4, E.b2, 4])
+
+
 def velu(E: Curve, h: Poly, p: int) -> Isogeny:
     """Normalized quotient isogeny with kernel polynomial h (monic, degree
-    (p-1)/2)."""
+    (p-1)/2). The codomain needs only the sums t and w over the roots of h."""
     K = E.field
     if h.degree != (p - 1) // 2 or h.lc() != K.one():
         raise ValueError(f"kernel polynomial must be monic of degree {(p - 1) // 2}")
-    x = Poly.x(K)
-    t_poly = 6 * x * x + E.b2 * x + Poly(K, [E.b4])
-    u_poly = Poly(K, [E.b6, 2 * E.b4, E.b2, 4])
+    t_poly, u_poly = _velu_polys(E)
+    # scalar sums: t = sum t(x_i), w = sum u(x_i) + x_i t(x_i)
+    t_sum = _symmetric_sum(t_poly, h)
+    w_sum = _symmetric_sum(u_poly + Poly.x(K) * t_poly, h)
+    E2 = Curve(K, E.a1, E.a2, E.a3, E.a4 - 5 * t_sum, E.a6 - E.b2 * t_sum - 7 * w_sum)
+    return Isogeny(E, E2, p, h, E2)
+
+
+def _velu_x_map(E: Curve, h: Poly) -> tuple:
+    """(Nx, Dx), both monic, with X(x) = x + A/h - (B/h)' = Nx/Dx."""
+    x = Poly.x(E.field)
+    t_poly, u_poly = _velu_polys(E)
     hp = h.derivative()
     # sum f(x_i)/(x - x_i) = (f * h' mod h)/h for f of any degree
     A = (t_poly * hp) % h
     B = (u_poly * hp) % h
-    # scalar sums: t = sum t(x_i), w = sum u(x_i) + x_i t(x_i)
-    t_sum = _symmetric_sum(t_poly, h)
-    w_sum = _symmetric_sum(u_poly + x * t_poly, h)
-    E2 = Curve(K, E.a1, E.a2, E.a3, E.a4 - 5 * t_sum, E.a6 - E.b2 * t_sum - 7 * w_sum)
-    # X(x) = x + A/h - (B/h)'
-    Nx = x * h * h + A * h - B.derivative() * h + B * hp
-    Dx = h * h
-    return Isogeny(E, E2, p, h, Nx, Dx, E2)
+    return x * h * h + A * h - B.derivative() * h + B * hp, h * h
 
 
 def _symmetric_sum(f: Poly, h: Poly) -> FieldElement:
@@ -151,7 +171,7 @@ def dual_isogeny(phi: Isogeny) -> Isogeny:
         raise RuntimeError(f"dual kernel polynomial of degree {hdual.degree}")
     psi = velu(E2, hdual, p)
     iso = find_isomorphism(psi.codomain, E)
-    return Isogeny(E2, E, p, hdual, psi.Nx, psi.Dx, psi.codomain, iso)
+    return Isogeny(E2, E, p, hdual, psi.codomain, iso)
 
 
 # -- Neron scalings and place classification -------------------------------

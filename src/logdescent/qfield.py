@@ -168,11 +168,13 @@ class FieldElement:
         return NotImplemented
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.A * o.D + o.A * self.D,
-                            self.B * o.D + o.B * self.D, self.D * o.D)
+        o = other
+        if type(o) is not FieldElement or o.field is not self.field:
+            o = self._coerce(other)
+            if o is NotImplemented:
+                return NotImplemented
+        return _normalized(self.field, self.A * o.D + o.A * self.D,
+                           self.B * o.D + o.B * self.D, self.D * o.D)
 
     __radd__ = __add__
 
@@ -180,11 +182,13 @@ class FieldElement:
         return FieldElement(self.field, -self.A, -self.B, self.D)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.A * o.D - o.A * self.D,
-                            self.B * o.D - o.B * self.D, self.D * o.D)
+        o = other
+        if type(o) is not FieldElement or o.field is not self.field:
+            o = self._coerce(other)
+            if o is NotImplemented:
+                return NotImplemented
+        return _normalized(self.field, self.A * o.D - o.A * self.D,
+                           self.B * o.D - o.B * self.D, self.D * o.D)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -193,11 +197,13 @@ class FieldElement:
         return o - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.A * o.A + self.B * o.B * self.field.radicand,
-                            self.A * o.B + self.B * o.A, self.D * o.D)
+        o = other
+        if type(o) is not FieldElement or o.field is not self.field:
+            o = self._coerce(other)
+            if o is NotImplemented:
+                return NotImplemented
+        return _normalized(self.field, self.A * o.A + self.B * o.B * self.field.radicand,
+                           self.A * o.B + self.B * o.A, self.D * o.D)
 
     __rmul__ = __mul__
 
@@ -277,6 +283,18 @@ class FieldElement:
 
     def __repr__(self):
         return format_element(self)
+
+
+def _normalized(field: QuadField, A: int, B: int, D: int) -> FieldElement:
+    """(A + B*sqrt(m))/D for D > 0, with B = 0 over Q: the checks of
+    FieldElement.__init__ hold by construction, and only the gcd is left."""
+    x = object.__new__(FieldElement)
+    g = math.gcd(A, B, D)
+    if g != 1:
+        A, B, D = A // g, B // g, D // g
+    x.field = field
+    x.A, x.B, x.D = A, B, D
+    return x
 
 
 def _fraction_sqrt(q: Fraction) -> Fraction | None:
@@ -606,11 +624,47 @@ class ResidueField:
         if self.f == 1:
             return pow(x, -1, self.ell)
         a, b = x
-        # norm to F_ell: (a+bw)(a + b(tr - w)) = a^2 + ab*tr + b^2*nm... careful:
-        # conj(w) = tr - w, N = a^2 + a b tr + b^2 nm
-        n = (a * a + a * b * self.tr + b * b * self.nm) % self.ell
-        ninv = pow(n, -1, self.ell)
+        ninv = pow(self._norm(x), -1, self.ell)
         return (((a + b * self.tr) * ninv) % self.ell, ((-b) * ninv) % self.ell)
+
+    def _norm(self, x) -> int:
+        """The norm to F_ell of x = a + b*w (f = 2): conj(w) = tr - w, so
+        N = a^2 + a b tr + b^2 nm."""
+        a, b = x
+        return (a * a + a * b * self.tr + b * b * self.nm) % self.ell
+
+    def is_square(self, x) -> bool:
+        """Whether x (zero included) is a square: Euler's criterion, applied
+        to the norm to F_ell when f = 2 (the norm maps F_q* onto F_ell*)."""
+        if self.ell == 2:
+            return True
+        n = x if self.f == 1 else self._norm(x)
+        return pow(n, (self.ell - 1) // 2, self.ell) != self.ell - 1
+
+    def _sqrt(self, x):
+        """A square root of the square x, odd ell (Tonelli-Shanks). For
+        f = 2 the non-square is the first one in element order."""
+        if self.f == 1:
+            return sqrt_mod(x, self.ell)
+        if self.is_zero(x):
+            return x
+        q, s = self.q - 1, 0
+        while not q & 1:
+            q >>= 1
+            s += 1
+        ell = self.ell
+        z = next((a, b) for a in range(ell) for b in range(ell) if not self.is_square((a, b)))
+        one = self.one()
+        m, c, t, r = s, self.pow(z, q), self.pow(x, q), self.pow(x, (q + 1) // 2)
+        while t != one:
+            i, t2 = 1, self.mul(t, t)
+            while t2 != one:
+                t2 = self.mul(t2, t2)
+                i += 1
+            b = self.pow(c, 1 << (m - i - 1))
+            m, c = i, self.mul(b, b)
+            t, r = self.mul(t, c), self.mul(r, b)
+        return r
 
     def elements(self):
         if self.f == 1:
@@ -680,13 +734,29 @@ class ResidueField:
     # -- polynomial roots over the residue field -------------------------
 
     def roots(self, coeffs: list) -> list:
-        """All roots in the residue field of the poly with the given
-        coefficients (constant first, elements of this field)."""
+        """The distinct roots in the residue field, sorted, of the poly with
+        the given coefficients (constant first, elements of this field).
+
+        Closed form for degree 1 (-c0/c1) and, in odd characteristic, for
+        degree 2 (the discriminant's square roots by Tonelli-Shanks). Every
+        other poly (cubics and up, and quadratics at ell = 2, where q <= 4)
+        is scanned over the field for q <= 4096 and split by Cantor-Zassenhaus
+        past that. Sorted order is the scan's own order."""
         cs = list(coeffs)
         while cs and self.is_zero(cs[-1]):
             cs.pop()
         if len(cs) <= 1:
             return []
+        if len(cs) == 2:
+            return [self.mul(self.neg(cs[0]), self.inv(cs[1]))]
+        if len(cs) == 3 and self.ell != 2:
+            c0, c1, c2 = cs
+            d = self.sub(self.mul(c1, c1), self.mul(self.from_int(4), self.mul(c0, c2)))
+            if not self.is_square(d):
+                return []
+            s, inv = self._sqrt(d), self.inv(self.add(c2, c2))
+            return sorted({self.mul(self.sub(s, c1), inv),
+                           self.mul(self.neg(self.add(s, c1)), inv)})
         if self.q <= 4096:
             return [x for x in self.elements()
                     if self.is_zero(self._eval(cs, x))]
@@ -728,7 +798,7 @@ class ResidueField:
                     stack.append(d)
                     stack.append(self._poly_divexact(h, d))
                     break
-        return sorted(out, key=lambda r: r if self.f == 1 else r)
+        return sorted(out)
 
     def _poly_sub(self, u, v):
         n = max(len(u), len(v))

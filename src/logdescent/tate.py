@@ -1,9 +1,12 @@
 """Tate's algorithm at a finite place, and component indices of points on
 the special fiber of the minimal regular model.
 
-Works over Q and over quadratic fields at any residue characteristic; the
-one brute-force search over a residue field, for the singular point in
-residue characteristic 2, only ever sees q <= 4.
+Works over Q and over quadratic fields at any residue characteristic.
+Residue roots of linear polys, and of quadratics in odd characteristic, are
+closed-form (ResidueField.roots), and there the split test of multiplicative
+reduction asks whether b2 is a square. The residue field is scanned only in
+characteristic 2, where q <= 4 (singular point, quadratics, split test), and
+for the roots of the cubic P(T) of type I0*.
 """
 
 from __future__ import annotations
@@ -86,13 +89,19 @@ class LocalData:
         N = self.n + 4
         x0, y0 = _refine_node(E, pr, N)
         Et = E.transform(E.field.one(), x0, E.field.zero(), y0)
-        assert pr.val(Et.a6) == self.n
+        _check(pr.val(Et.a6) == self.n, "the lifted node is not on the model", pr)
         # tangent slopes at the node: roots of T^2 + a1 T - a2
         quad = [-Et.a2, Et.a1, E.field.one()]
-        rts = sorted(_k_roots(k, quad))
-        assert len(rts) == 2
+        rts = _k_roots(k, quad)
+        _check(len(rts) == 2, f"{len(rts)} tangent slope(s) at a split node", pr)
         alpha, beta = (hensel_root(quad, pr, k.lift(r), N) for r in rts)
         return x0, y0, alpha, beta
+
+
+def _check(ok: bool, what: str, pr: PrimeIdeal) -> None:
+    """Raise for a broken invariant of Tate's algorithm at pr."""
+    if not ok:
+        raise RuntimeError(f"Tate's algorithm at {pr}: {what}")
 
 
 def _compose_urst(a, b):
@@ -125,7 +134,7 @@ def _singular_point(E: Curve, k: ResidueField):
     if k.ell != 2:
         # complete the square: (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2b4 x + b6
         xs = _k_poly_gcd_roots(k, [E.b6, 2 * E.b4, E.b2, E.field(4)])
-        assert len(xs) == 1
+        _check(len(xs) == 1, f"{len(xs)} singular x-coordinate(s) on the reduction", k.prime)
         x0 = xs[0]
         inv2 = k.inv(k.from_int(2))
         y0 = k.neg(k.mul(inv2, k.add(k.mul(k.reduce(E.a1), x0), k.reduce(E.a3))))
@@ -177,12 +186,18 @@ def tate_local_data(E_in: Curve, pr: PrimeIdeal) -> LocalData:
         # move the singular point to (0,0)
         x0, y0 = _singular_point(E, k)
         apply(one, k.lift(x0), K.zero(), k.lift(y0))
-        assert v(E.a3) >= 1 and v(E.a4) >= 1 and v(E.a6) >= 1
+        _check(v(E.a3) >= 1 and v(E.a4) >= 1 and v(E.a6) >= 1,
+               "the singular point did not move to (0,0)", pr)
 
         if v(E.b2) == 0:
-            # multiplicative: In with n = v(disc)
+            # multiplicative: In with n = v(disc). Split iff the tangent
+            # slopes, the roots of T^2 + a1 T - a2, lie in k; in odd
+            # characteristic iff their discriminant b2 is a square
             n = v(E.disc)
-            split = len(_k_roots(k, [-E.a2, E.a1, one])) == 2
+            if k.ell != 2:
+                split = k.is_square(k.reduce(E.b2))
+            else:
+                split = len(_k_roots(k, [-E.a2, E.a1, one])) == 2
             c = n if split else (2 if n % 2 == 0 else 1)
             return done(f"I{n}", n, n, n, c, split)
 
@@ -192,7 +207,7 @@ def tate_local_data(E_in: Curve, pr: PrimeIdeal) -> LocalData:
             return done("III", 0, 2, 2, 2)
         if v(E.b6) < 3:
             rts = _k_roots(k, [-E.a6 / pi ** 2, E.a3 / pi, one])
-            return done("IV", 0, 3, 3, 3 if len(rts) == 2 else 1, branches=("y", 1, sorted(rts)))
+            return done("IV", 0, 3, 3, 3 if len(rts) == 2 else 1, branches=("y", 1, rts))
 
         # normalize: v(a1) >= 1, v(a2) >= 1, v(a3) >= 2, v(a4) >= 2, v(a6) >= 3
         if k.ell != 2:
@@ -205,14 +220,15 @@ def tate_local_data(E_in: Curve, pr: PrimeIdeal) -> LocalData:
             apply(one, K.zero(), s, K.zero())
             t1 = k.lift(k.sqrt(k.reduce(E.a6 / pi ** 2)))
             apply(one, K.zero(), K.zero(), pi * t1)
-        assert v(E.a1) >= 1 and v(E.a2) >= 1 and v(E.a3) >= 2 and v(E.a4) >= 2 and v(E.a6) >= 3
+        _check(v(E.a1) >= 1 and v(E.a2) >= 1 and v(E.a3) >= 2 and v(E.a4) >= 2 and v(E.a6) >= 3,
+               "the model did not normalize for P(T)", pr)
 
         # P(T) = T^3 + a2/pi T^2 + a4/pi^2 T + a6/pi^3
         Pc = [E.a6 / pi ** 3, E.a4 / pi ** 2, E.a2 / pi, one]
         mult_roots = _k_poly_gcd_roots(k, Pc)
         if not mult_roots:
             rts = _k_roots(k, Pc)
-            return done("I0*", 0, 5, 4, 1 + len(rts), branches=("x", 1, sorted(rts)))
+            return done("I0*", 0, 5, 4, 1 + len(rts), branches=("x", 1, rts))
 
         r0 = mult_roots[0]
         # test triple root: P(T) = (T - r0)^3 iff P'' (r0) = 0 too
@@ -222,7 +238,8 @@ def tate_local_data(E_in: Curve, pr: PrimeIdeal) -> LocalData:
 
         if not triple:
             # In* for n >= 1; alternate quadratics in Y and X at growing depth
-            assert v(E.a2) == 1 and v(E.a3) >= 2 and v(E.a4) >= 3 and v(E.a6) >= 4
+            _check(v(E.a2) == 1 and v(E.a3) >= 2 and v(E.a4) >= 3 and v(E.a6) >= 4,
+                   "the double root of P(T) did not move to 0", pr)
             n = 1
             mx, my = 2, 2
             while True:
@@ -235,7 +252,7 @@ def tate_local_data(E_in: Curve, pr: PrimeIdeal) -> LocalData:
                 if not dbl:
                     c = 4 if len(rts) == 2 else 2
                     last = ("y", my) if n % 2 == 1 else ("x", mx)
-                    return done(f"I{n}*", n, n + 5, 4, c, branches=(*last, sorted(rts)))
+                    return done(f"I{n}*", n, n + 5, 4, c, branches=(*last, rts))
                 if n % 2 == 1:
                     apply(one, K.zero(), K.zero(), pi ** my * k.lift(dbl[0]))
                     my += 1
@@ -244,14 +261,15 @@ def tate_local_data(E_in: Curve, pr: PrimeIdeal) -> LocalData:
                     mx += 1
                 n += 1
         # triple root path
-        assert v(E.a2) >= 2 and v(E.a3) >= 2 and v(E.a4) >= 3 and v(E.a6) >= 4
+        _check(v(E.a2) >= 2 and v(E.a3) >= 2 and v(E.a4) >= 3 and v(E.a6) >= 4,
+               "the triple root of P(T) did not move to 0", pr)
         quad = [-E.a6 / pi ** 4, E.a3 / pi ** 2, one]
         rts = _k_roots(k, quad)
         dbl = _k_poly_gcd_roots(k, quad)
         if not dbl:
-            return done("IV*", 0, 7, 3, 3 if len(rts) == 2 else 1, branches=("y", 2, sorted(rts)))
+            return done("IV*", 0, 7, 3, 3 if len(rts) == 2 else 1, branches=("y", 2, rts))
         apply(one, K.zero(), K.zero(), pi ** 2 * k.lift(dbl[0]))
-        assert v(E.a3) >= 3 and v(E.a6) >= 5
+        _check(v(E.a3) >= 3 and v(E.a6) >= 5, "the double root of the IV* quadratic did not move to 0", pr)
         if v(E.a4) < 4:
             return done("III*", 0, 8, 2, 2)
         if v(E.a6) < 6:
@@ -308,7 +326,7 @@ def _refine_node(E: Curve, pr: PrimeIdeal, N: int):
         y = reduce_mod(y - dy, pr, prec + 1)
     fx = E.a1 * y - 3 * x * x - 2 * E.a2 * x - E.a4
     fy = 2 * y + E.a1 * x + E.a3
-    assert v(fx) >= N and v(fy) >= N
+    _check(v(fx) >= N and v(fy) >= N, f"the Newton lift of the node fell short of precision {N}", pr)
     return x, y
 
 

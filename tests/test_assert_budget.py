@@ -13,7 +13,7 @@ import logdescent
 
 PACKAGE = os.path.dirname(os.path.abspath(logdescent.__file__))
 
-BUDGET = {"tate.py": 12, "ellcurve.py": 4, "localfield.py": 4, "logpic.py": 4}
+BUDGET = {"tate.py": 3, "localfield.py": 4, "logpic.py": 4}
 
 
 def _count_asserts(path):

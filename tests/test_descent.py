@@ -76,6 +76,36 @@ def test_context_builds_one_isogeny(monkeypatch):
     assert not hasattr(ctx, "phi")
 
 
+@pytest.mark.parametrize("d", [-47, 5])
+def test_context_scans_no_odd_residue_field_and_builds_no_x_map(monkeypatch, d):
+    # 11a1 is semistable: Tate's algorithm sees only I0 and In, whose residue
+    # roots are closed-form at odd ell, and the descent reads z^2 of phihat
+    # without its x-map. 11 is inert in Q(sqrt(-47)) and splits in Q(sqrt(5))
+    from logdescent import isogeny
+
+    scan = ResidueField._eval
+
+    def no_odd_scan(k, cs, x):
+        if k.ell != 2:
+            raise AssertionError(f"residue field scanned at {k.prime}")
+        return scan(k, cs, x)
+
+    def no_x_map(*args):
+        raise AssertionError("the Velu x-map was built")
+
+    monkeypatch.setattr(ResidueField, "_eval", no_odd_scan)
+    monkeypatch.setattr(isogeny, "_velu_x_map", no_x_map)
+    monkeypatch.setattr(isogeny, "_TATE_CACHE", {})
+    ctx = _ctx_11a(d)
+    kinds = {(c.prime.ell, c.prime.kind, c.ld_E.kodaira) for c in ctx.classifications}
+    assert (11, "inert" if d == -47 else "split", "I1") in kinds
+    # the pairing's node data solves the tangent-slope quadratic in closed form
+    for c in ctx.classifications:
+        for ld in (c.ld_E, c.ld_E2):
+            if ld.is_multiplicative and ld.split:
+                assert len(ld.node) == 4
+
+
 def test_classification_11a_sqrt_m47():
     ctx = _ctx_11a(-47)
     assert [pr.label() for pr in ctx.S1] == ["(11)"]

@@ -1,5 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import logdescent
 from logdescent.ellcurve import Curve, curve_from_rational
 from logdescent.polyring import Poly, gcd
 from logdescent.qfield import make_field
@@ -84,3 +92,55 @@ def test_kernel_polynomial():
     psi5 = E.division_poly(5)
     assert (psi5 % h).is_zero()
     assert gcd(psi5, h) == h.monic()
+
+
+_small = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([None, -47, 2, 5]), st.lists(_small, min_size=5, max_size=5),
+       st.one_of(st.just(Fraction(1)), _small.filter(bool)), _small, _small, _small, _small)
+def test_transform_carries_the_discriminant(D, ainvs, u, r, s, t, b):
+    # transform sets disc' = u^-12 disc instead of recomputing b2..b8; the
+    # recomputed discriminant of the same a-invariants is the oracle
+    K = make_field(D)
+    try:
+        E = Curve(K, *ainvs)
+    except ValueError:
+        return  # singular model
+    uK = K(u) if K.is_rational else K(u, b)
+    if not uK:
+        return
+    E2 = E.transform(uK, r, s, t)
+    assert E2.disc == Curve(K, *E2.ainvs).disc
+    assert E2.disc == E.disc / uK ** 12
+
+
+def test_named_errors():
+    E, E2 = E11a1(), E11a3()
+    with pytest.raises(ValueError, match="cannot add points"):
+        E.point(5, 5) + E2.point(0, 0)
+    with pytest.raises(ValueError, match="base change"):
+        E.base_change(Q)
+    with pytest.raises(ValueError, match="odd prime"):
+        E.kernel_polynomial(E.point(5, 5), 2)
+    with pytest.raises(ValueError, match="order 11"):
+        E.kernel_polynomial(E.point(5, 5), 11)
+
+
+def test_adding_points_of_two_curves_raises_under_optimize():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(logdescent.__file__)))
+    code = ("from logdescent.ellcurve import curve_from_rational\n"
+            "from logdescent.qfield import make_field\n"
+            "assert False, 'asserts are on'\n"
+            "Q = make_field(None)\n"
+            "P = curve_from_rational(Q, [0, -1, 1, -10, -20]).point(5, 5)\n"
+            "R = curve_from_rational(Q, [0, -1, 1, 0, 0]).point(0, 0)\n"
+            "try:\n"
+            "    P + R\n"
+            "except ValueError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from logdescent.ellcurve import curve_from_rational
@@ -12,6 +12,7 @@ from logdescent.isogeny import (
     neron_scaling,
     tate,
 )
+from logdescent.polyring import Poly
 from logdescent.qfield import make_field, prime_divisors, primes_above
 
 Q = make_field(None)
@@ -158,3 +159,58 @@ def test_dual_scaling_from_the_z_identity(label, m):
             expected = ("mixed" if a_phi and a_dual
                         else "forward" if not a_dual else "backward")
             assert cl.direction == expected
+
+
+def _eager_x_map(E, h):
+    """The x-map as velu built it eagerly: X(x) = x + A/h - (B/h)'."""
+    K = E.field
+    x = Poly.x(K)
+    t_poly = 6 * x * x + E.b2 * x + Poly(K, [E.b4])
+    u_poly = Poly(K, [E.b6, 2 * E.b4, E.b2, 4])
+    hp = h.derivative()
+    A = (t_poly * hp) % h
+    B = (u_poly * hp) % h
+    return x * h * h + A * h - B.derivative() * h + B * hp, h * h
+
+
+def _velu_sum(E, P, p, x):
+    """X(x) = x + sum over i = 1..(p-1)/2 of t_i/(x - x_i) + u_i/(x - x_i)^2,
+    read off the kernel points iP themselves."""
+    X, Q = x, P
+    for _ in range((p - 1) // 2):
+        xi = Q.x
+        t = 6 * xi * xi + E.b2 * xi + E.b4
+        u = 4 * xi ** 3 + E.b2 * xi * xi + 2 * E.b4 * xi + E.b6
+        X = X + t / (x - xi) + u / (x - xi) ** 2
+        Q = Q + P
+    return X
+
+
+@settings(max_examples=15, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(st.sampled_from(sorted(ISOGENIES)), st.sampled_from([None] + RADICANDS),
+       st.integers(1, 4))
+@example("11a1", -47, 1)
+@example("35a", 2, 1)
+@example("158", -79, 1)
+def test_lazy_x_map_and_z_normalization(label, m, i):
+    # the descent reads only z^2, which is 1 by Velu's normalization; the
+    # x-map, built on first use, is the one velu used to build eagerly, and
+    # any generator iP of the kernel gives the same isogeny
+    ainvs, p, (px, py) = ISOGENIES[label]
+    K = make_field(m)
+    E = curve_from_rational(K, ainvs)
+    P = E.point(K(px), K(py)) * (1 + (i - 1) % (p - 1))
+    phi = isogeny_from_kernel_point(E, P, p)
+    assert "x_map" not in vars(phi)
+    assert phi.z_squared == phi.Dx.lc() / phi.Nx.lc() == K.one()
+    assert (phi.Nx, phi.Dx) == _eager_x_map(E, phi.kernel_poly)
+    for xv in (K(101), K(-7) / 3):
+        assert phi.Nx(xv) / phi.Dx(xv) == _velu_sum(E, P, p, xv)
+
+
+def test_dual_z_squared_is_the_iso_scaling():
+    E, P = pair_11a()
+    phihat = dual_isogeny(isogeny_from_kernel_point(E, P, 5))
+    u = phihat.iso[0]
+    assert phihat.z_squared == phihat.Dx.lc() / phihat.Nx.lc() * u ** 2 == u ** 2

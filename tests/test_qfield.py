@@ -212,6 +212,57 @@ def test_residue_roots_large_fields_brute_force(which, data):
     assert k.roots(cs) == brute
 
 
+_ODD_PRIMES = [q for q in range(3, 64) if all(q % d for d in range(2, q))]
+_RADICANDS = [m for m in range(-60, 61) if m not in (0, 1) and all(m % (d * d) for d in range(2, 8))]
+
+
+def _scan_roots(k, cs):
+    f = list(cs)
+    while f and k.is_zero(f[-1]):
+        f.pop()
+    return [x for x in k.elements() if k.is_zero(k._eval(f, x))] if len(f) > 1 else []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_RADICANDS + [None]), st.data())
+def test_closed_form_roots_and_squares_match_the_scan(D, data):
+    # degree 1 and 2 roots are closed-form at odd ell (the discriminant and a
+    # Tonelli-Shanks square root), and is_square is Euler's criterion on the
+    # norm; the scan over the residue field is the oracle for both. Primes
+    # are split, inert (f = 2) or, half the time when there is one, ramified
+    K = make_field(D)
+    ramified = [q for q in _ODD_PRIMES if K.disc % q == 0]
+    ell = data.draw(st.sampled_from(ramified if ramified and data.draw(st.booleans())
+                                    else _ODD_PRIMES))
+    pr = data.draw(st.sampled_from(primes_above(K, ell)))
+    k = ResidueField(pr)
+    elts = k.elements()
+    pick = st.integers(0, len(elts) - 1).map(elts.__getitem__)
+    unit = pick.filter(lambda c: not k.is_zero(c))
+    squares = {k.mul(y, y) for y in elts}
+    x = data.draw(pick)
+    assert k.is_square(x) == (x in squares)
+    shape = data.draw(st.sampled_from(["linear", "product", "double", "x^2 - n", "random"]))
+    c = data.draw(unit)
+    if shape == "linear":
+        cs = [data.draw(pick), c]
+    elif shape in ("product", "double"):
+        r1 = data.draw(pick)
+        r2 = r1 if shape == "double" else data.draw(pick)
+        cs = [k.mul(c, k.mul(r1, r2)), k.neg(k.mul(c, k.add(r1, r2))), c]
+    elif shape == "x^2 - n":
+        # n a non-square, so no roots
+        cs = [k.neg(data.draw(pick.filter(lambda n: n not in squares))), k.zero(), k.one()]
+    else:
+        cs = [data.draw(pick), data.draw(pick), c]
+    expected = _scan_roots(k, cs)
+    assert k.roots(cs) == expected
+    if shape in ("product", "double"):
+        assert expected == sorted({r1, r2})
+    if shape == "x^2 - n":
+        assert expected == []
+
+
 def test_reduce_invert_hensel():
     K = make_field(-47)
     pr = primes_above(K, 7)[0]

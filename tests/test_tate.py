@@ -334,3 +334,12 @@ def test_singular_point_at_three_matches_search():
                 assert tate_module._singular_point(E, k) == _singular_point_search(E, k)
                 kinds.add((k.q, k.is_zero(k.reduce(E.b2))))
     assert kinds == {(3, True), (3, False), (9, True), (9, False)}
+
+
+def test_invariant_errors_name_the_place():
+    # Tate's invariants raise RuntimeError, not assert: a smooth reduction
+    # has no singular point to move to (0, 0)
+    E = curve_from_rational(Q, [0, -1, 1, -10, -20])
+    k = ResidueField(primes_above(Q, 7)[0])
+    with pytest.raises(RuntimeError, match=r"Tate's algorithm at \(7\): 0 singular"):
+        tate_module._singular_point(E, k)
