@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .descent import (DescentContext, HypothesisError, descent_report, psi,
                       psi_vector, quadratic_point_search, sel_p_dim_if_applicable,
@@ -113,10 +112,6 @@ def _point(E: Curve, s: str) -> Point:
 # -- serialization ----------------------------------------------------------
 
 
-def _frac(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def _divisor_json(D: LogDivisor):
     return {"S": [p.label() for p, _ in D.sorted_items()],
             "coeffs": [{"place": p.label(), "num": a.numerator, "den": a.denominator}
@@ -126,7 +121,7 @@ def _divisor_json(D: LogDivisor):
 def _pretty_divisor(D: LogDivisor) -> str:
     if not D.coeffs:
         return "0"
-    return " + ".join(f"{_frac(a)} {p.label()}" for p, a in D.sorted_items())
+    return " + ".join(f"{a} {p.label()}" for p, a in D.sorted_items())
 
 
 def _normalize(group, D: LogDivisor) -> LogDivisor:
@@ -170,8 +165,8 @@ def cmd_classify(args) -> int:
         "kodaira": c.ld_E.kodaira,
         "kodaira'": c.ld_E2.kodaira,
         "class": c.direction,
-        "a_phi": _frac(c.a_phi),
-        "a_phihat": _frac(c.a_dual),
+        "a_phi": str(c.a_phi),
+        "a_phihat": str(c.a_dual),
         "c": c.ld_E.c,
         "c'": c.ld_E2.c,
     } for c in ctx.classifications]
@@ -192,7 +187,7 @@ def cmd_classify(args) -> int:
              f"{'a_phi':<7}{'a_phihat':<9}{'c':<4}c'"]
     for c in ctx.classifications:
         lines.append(f"{c.prime.label():<16}{c.ld_E.kodaira:<6}{c.ld_E2.kodaira:<9}"
-                     f"{c.direction:<10}{_frac(c.a_phi):<7}{_frac(c.a_dual):<9}"
+                     f"{c.direction:<10}{c.a_phi!s:<7}{c.a_dual!s:<9}"
                      f"{c.ld_E.c:<4}{c.ld_E2.c}")
     lines.append(f"S1 = {[p.label() for p in ctx.S1]}")
     lines.append(f"S2 = {[p.label() for p in ctx.S2]}")

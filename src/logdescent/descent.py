@@ -18,7 +18,7 @@ from .ideals import (FieldSelmerBasis, LimitError, SClassGroup, class_group,
                      field_selmer_basis, s_class_group)
 from .isogeny import PlaceClassification, classify_place, isogeny_from_kernel_point
 from .linalg import fp_kernel, fp_rank, fp_solve
-from .localfield import LocalUnitGroup
+from .localfield import LocalUnitGroup, local_mu_p_dim
 from .logpic import LogDivisor, LogPicTorsion
 from .ntheory import isprime, primerange
 from .pairing import log_pairing
@@ -103,18 +103,6 @@ class DescentContext:
         return self.logpic_torsion
 
 
-def local_mu_p_dim(pr: PrimeIdeal, p: int) -> int:
-    """dim of mu_p(K_v) over F_p: 1 iff [K_v(mu_p):K_v] = 1."""
-    vp = pr.val(pr.field(p))
-    if vp == 0:
-        q = pr.ell ** pr.f
-        return 1 if (q - 1) % p == 0 else 0
-    # v | p: Q_p(mu_p)/Q_p is totally ramified of degree p-1, so only p = 3
-    # with e = 2 is possible, and then K_v = Q_3(sqrt(m)) contains mu_3 iff
-    # it is Q_3(sqrt(-3)), that is iff -m/3 is a 3-adic unit square
-    return 1 if p == 3 and pr.e == 2 and (-pr.field.radicand // 3) % 3 == 1 else 0
-
-
 # -- coordinates on H^1(U_1, mu_p) ----------------------------------------
 
 
@@ -160,7 +148,7 @@ class H1Coordinates:
             if (ell - 1) % self.p:
                 continue
             for w in primes_above(K, ell):
-                if (ell ** w.f - 1) % self.p == 0:
+                if local_mu_p_dim(w, self.p):
                     yield w
 
     def coords(self, x: FieldElement) -> list[int]:

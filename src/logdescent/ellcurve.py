@@ -3,8 +3,10 @@ variable, division polynomials."""
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
+from .ntheory import power
 from .polyring import Poly
 from .qfield import FieldElement, QuadField
 
@@ -233,14 +235,7 @@ class Point:
     def __mul__(self, n: int) -> "Point":
         if n < 0:
             return (-self) * (-n)
-        r = self.curve.zero()
-        b = self
-        while n:
-            if n & 1:
-                r = r + b
-            b = b + b
-            n >>= 1
-        return r
+        return power(self, n, operator.add, self.curve.zero())
 
     __rmul__ = __mul__
 

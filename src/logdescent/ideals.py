@@ -10,18 +10,20 @@ of discriminant disc(K) (Cohen, GTM 138, sections 5.2-5.7). A ``LatticeIdeal``
 is n*[a, (-b + sqrt(D))/2], a content n and a primitive form, and ideals
 multiply by composing their forms.
 
-Two principality tests are used. Certification and discrete logs only need a
-yes or no, and decide it on reduced forms: a class is principal iff its
-Gauss-reduced form has a = 1 (imaginary), or iff the rho-cycle of its
-reduced forms contains one with |a| = 1 (real). Where a generator is needed,
-``LatticeIdeal.is_principal`` finds one by lattice reduction (imaginary).
+Certification and discrete logs only need a yes or no, and decide it on
+reduced forms: a class is principal iff its Gauss-reduced form has a = 1
+(imaginary), or iff the rho-cycle of its reduced forms contains one with
+|a| = 1 (real). Where a generator is needed, ``LatticeIdeal.is_principal`` is
+the one routine, on integer forms: it reduces the form N(x*b1 + y*b2)/N(I) of
+the ideal's HNF basis (b1, b2) while carrying the transform, by ``_lagrange``
+(imaginary) or ``_rho_cycle`` (real), and the first column (u, v) of the
+transform at a form with |a| = 1 gives the generator u*b1 + v*b2.
 
 Real fields have one walk, ``_rho_cycle``: it rho-reduces an indefinite form
 and walks one lap of its reduced cycle, carrying the transform from the entry
 form. Its four consumers are ``_reduce``, ``_cycle`` (every reduced form of a
-class), ``LatticeIdeal.is_principal`` (the generator at the first form with
-|a| = 1) and ``fundamental_unit`` (the first unit other than +-1 met on the
-cycle of the unit ideal).
+class), ``LatticeIdeal.is_principal`` and ``fundamental_unit`` (the first
+unit other than +-1 met on the cycle of the unit ideal).
 
 Limits: certification enumerates the claimed group, so its order may be at
 most MAX_CERTIFIED_ORDER; the relation search gives up past the box bound
@@ -31,11 +33,12 @@ MAX_RELATION_BOUND. Both raise LimitError.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import cached_property
 
 from .linalg import hnf, smith_normal_form
-from .ntheory import primerange
+from .ntheory import power, primerange
 from .qfield import (
     FieldElement,
     PrimeIdeal,
@@ -56,8 +59,7 @@ class LatticeIdeal:
     primitive form (a, b, c) of discriminant D = disc(K), with a > 0.
 
     Products compose the forms (Cohen, GTM 138, 5.4). ``rows`` is the HNF
-    basis of the lattice over (1, omega), which the generator searches
-    read."""
+    basis of the lattice over (1, omega), which ``is_principal`` reads."""
 
     def __init__(self, field: QuadField, n: int, form: tuple[int, int, int]):
         self.field = field
@@ -80,10 +82,6 @@ class LatticeIdeal:
         # (-b + sqrt(D))/2 = omega - (b + tr)/2
         return hnf([[n * a, 0], [-n * ((b + self.field.omega_trace) // 2), n]])
 
-    def basis_elements(self) -> tuple[FieldElement, FieldElement]:
-        K = self.field
-        return K.from_omega(*self.rows[0]), K.from_omega(*self.rows[1])
-
     def norm(self) -> int:
         return self.n * self.n * self.form[0]
 
@@ -96,69 +94,40 @@ class LatticeIdeal:
     def __pow__(self, n: int) -> "LatticeIdeal":
         if n < 0:
             raise ValueError("negative powers of a lattice ideal are not integral")
-        r = LatticeIdeal.unit_ideal(self.field)
-        base = self
-        while n:
-            if n & 1:
-                r = r * base
-            base = base * base
-            n >>= 1
-        return r
+        return power(self, n, operator.mul, LatticeIdeal.unit_ideal(self.field))
 
     def conjugate(self) -> "LatticeIdeal":
         a, b, c = self.form
         return LatticeIdeal(self.field, self.n, (a, -b, c))
 
     def __repr__(self):
-        b1, b2 = self.basis_elements()
-        return f"<{b1}, {b2}>"
-
-    # -- principality ------------------------------------------------------
+        K = self.field
+        return f"<{K.from_omega(*self.rows[0])}, {K.from_omega(*self.rows[1])}>"
 
     def is_principal(self) -> tuple[bool, FieldElement | None]:
+        """(True, g) with (g) = self, or (False, None). The form
+        N(x*b1 + y*b2)/N(I) of the HNF basis is reduced while its transform
+        is carried, and the first column (u, v) at the first form with
+        |a| = 1 gives g = u*b1 + v*b2."""
         K = self.field
         if K.is_rational:
             raise ValueError("principality is trivial over Q")
-        if K.is_imaginary:
-            return self._principal_imaginary()
-        return self._principal_real()
-
-    def _principal_imaginary(self):
-        b1, b2 = self.basis_elements()
-
-        def N(x):
-            return x.norm()
-
-        def B(x, y):
-            return (x * y.conj() + y * x.conj()).a / 2
-
-        # Lagrange reduction of the rank-2 lattice under the norm form
-        while True:
-            if N(b2) < N(b1):
-                b1, b2 = b2, b1
-            t = B(b1, b2) / N(b1)
-            ti = round(t)
-            if ti == 0:
-                break
-            b2 = b2 - ti * b1
-        if N(b1) == self.norm():
-            return True, b1
-        return False, None
-
-    def _principal_real(self):
-        # the form N(x*b1 + y*b2)/N(I), integral of discriminant disc(K)
-        b1, b2 = self.basis_elements()
-        n = self.norm()
-        f = (b1.norm() / n, (b1 * b2.conj() + b2 * b1.conj()).a / n, b2.norm() / n)
-        if any(x.denominator != 1 for x in f):
+        (x1, y1), (x2, y2) = self.rows
+        tr, nm, n = K.omega_trace, K.omega_norm, self.norm()
+        # N(x + y*omega) = x^2 + x*y*tr + y^2*nm, and Tr(b1*conj(b2))
+        f = (x1 * x1 + x1 * y1 * tr + y1 * y1 * nm,
+             2 * x1 * x2 + (x1 * y2 + x2 * y1) * tr + 2 * y1 * y2 * nm,
+             x2 * x2 + x2 * y2 * tr + y2 * y2 * nm)
+        if any(x % n for x in f):
             raise RuntimeError(f"the form of the ideal {self} is not integral")
-        A, B, C = map(int, f)
+        A, B, C = (x // n for x in f)
         D = B * B - 4 * A * C
-        if D != self.field.disc:
-            raise RuntimeError(f"the form of {self} has discriminant {D}, not {self.field.disc}")
-        for (a, _, _), u, v in _rho_cycle((A, B, C), D):
+        if D != K.disc:
+            raise RuntimeError(f"the form of {self} has discriminant {D}, not {K.disc}")
+        forms = [_lagrange((A, B, C))] if D < 0 else _rho_cycle((A, B, C), D)
+        for (a, _, _), u, v in forms:
             if abs(a) == 1:
-                return True, u * b1 + v * b2
+                return True, K.from_omega(u * x1 + v * x2, u * y1 + v * y2)
         return False, None
 
 
@@ -261,6 +230,26 @@ def _rho_cycle(f, D: int):
     raise RuntimeError("reduction cycle failed to close")
 
 
+def _lagrange(f):
+    """Lagrange-reduce the positive definite form f = (a, b, c) of the basis
+    (b1, b2): swap when c < a, else subtract t*b1 from b2 for t = round(b/2a),
+    ties to even, until t = 0. Returns (g, u, v) for the reduced form g, with
+    (u, v) the first column of the transform from f."""
+    a, b, c = f
+    # the columns (u, v) and (u1, v1) give b1 and b2 on the entry basis
+    u, v, u1, v1 = 1, 0, 0, 1
+    while True:
+        if c < a:
+            a, c, u, v, u1, v1 = c, a, u1, v1, u, v
+        t, r = divmod(b + a, 2 * a)  # floor(b/2a + 1/2)
+        if r == 0 and t & 1:
+            t -= 1  # a tie, rounded to even
+        if t == 0:
+            return (a, b, c), u, v
+        b, c = b - 2 * t * a, c - t * b + t * t * a
+        u1, v1 = u1 - t * u, v1 - t * v
+
+
 def _reduce(f, D: int) -> tuple[int, int, int]:
     """The reduced form of the class of f: Gauss reduction with |b| <= a <= c
     (imaginary), or a reduced form with a > 0 on the rho-cycle (real)."""
@@ -288,14 +277,9 @@ def _form_pow(f, e: int, D: int) -> tuple[int, int, int]:
     """The reduced form of the class of f^e; (a, -b, c) is the inverse class."""
     if e < 0:
         f, e = (f[0], -f[1], f[2]), -e
-    out = _unit_form(D)
-    while e:
-        if e & 1:
-            out = _reduce(_compose(out, f, D), D)
-        e >>= 1
-        if e:
-            f = _reduce(_compose(f, f, D), D)
-    return out
+    # the first product is reduce(compose(unit, f)), as a real f's reduced
+    # form depends on the form entered
+    return power(f, e, lambda g, h: _reduce(_compose(g, h, D), D), _unit_form(D))
 
 
 def _cycle(f, D: int) -> list[tuple[int, int, int]]:
@@ -520,7 +504,7 @@ class ClassGroup:
     def dlog_prime(self, prime: PrimeIdeal) -> tuple[int, ...]:
         if prime in self._prime_dlog_cache:
             return self._prime_dlog_cache[prime]
-        if prime.kind == "inert":
+        if prime.kind in ("inert", "rational"):
             out = self.identity()
         else:
             out = self._form_table.get(_reduce(_prime_form(prime), self.field.disc))

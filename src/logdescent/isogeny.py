@@ -232,11 +232,9 @@ def classify_place(E: Curve, E2: Curve, z2_phi: FieldElement,
             direction = "forward"
         else:
             direction = "backward"
-    elif ld.is_good:
-        direction = "good"
     else:
-        # additive reduction away from p: phi induces an isomorphism on
-        # components; treat as neither forward nor backward
+        # good, or additive away from p: phi induces an isomorphism on
+        # components; neither forward nor backward
         direction = "good"
     return PlaceClassification(pr, ld, ld2, a_phi, a_dual, direction)
 

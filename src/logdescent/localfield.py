@@ -11,7 +11,18 @@ from __future__ import annotations
 
 import itertools
 
+from .ntheory import power
 from .qfield import FieldElement, PrimeIdeal, ResidueField, reduce_mod
+
+
+def local_mu_p_dim(pr: PrimeIdeal, p: int) -> int:
+    """dim of mu_p(K_v) over F_p: 1 iff [K_v(mu_p):K_v] = 1."""
+    if pr.val(pr.field(p)) == 0:
+        return 1 if (pr.norm() - 1) % p == 0 else 0
+    # v | p: Q_p(mu_p)/Q_p is totally ramified of degree p-1, so only p = 3
+    # with e = 2 is possible, and then K_v = Q_3(sqrt(m)) contains mu_3 iff
+    # it is Q_3(sqrt(-3)), that is iff -m/3 is a 3-adic unit square
+    return 1 if p == 3 and pr.e == 2 and (-pr.field.radicand // 3) % 3 == 1 else 0
 
 
 class LocalUnitGroup:
@@ -24,7 +35,7 @@ class LocalUnitGroup:
         self.q = self.k.q
         self.vp = pr.val(pr.field(p))
         if self.vp == 0:
-            self.dim = 1 if (self.q - 1) % p == 0 else 0
+            self.dim = local_mu_p_dim(pr, p)
         elif pr.e < p - 1:
             self.dim = pr.e * pr.f
         else:
@@ -32,7 +43,8 @@ class LocalUnitGroup:
 
     def coords(self, x: FieldElement) -> tuple[int, ...]:
         """F_p coordinates of a v-unit x in O_v^*/(O_v^*)^p."""
-        assert self.pr.val(x) == 0
+        if self.pr.val(x) != 0:
+            raise ValueError(f"{x} is not a unit at {self.pr}")
         if self.dim == 0:
             return ()
         if self.vp == 0:
@@ -52,9 +64,11 @@ class LocalUnitGroup:
         e, f = pr.e, pr.f
         N = e + 1
         u = reduce_mod(x, pr, N + e)
-        w = pow_mod(u, self.q - 1, pr, N + e)  # in 1 + pi O
+        # u^(q-1) mod pi^(N+e), in 1 + pi O
+        w = power(u, self.q - 1, lambda a, b: reduce_mod(a * b, pr, N + e), K(1))
         t = w - K(1)
-        assert pr.val(t) >= 1
+        if pr.val(t) < 1:
+            raise RuntimeError(f"u^(q-1) is not a principal unit at {pr}")
         lg = K.zero()
         tk = K(1)
         for kk in range(1, e + 1):
@@ -70,7 +84,8 @@ class LocalUnitGroup:
             d = self.k.reduce(rem / pi ** i)
             out.extend(self._k_coords(d))
             rem = rem - self.k.lift(d) * pi ** i
-        assert len(out) == self.dim
+        if len(out) != self.dim:
+            raise RuntimeError(f"{len(out)} log coordinates at {pr}, not {self.dim}")
         return tuple(out)
 
     def _k_coords(self, d) -> list[int]:
@@ -106,7 +121,8 @@ class LocalUnitGroup:
         pr = self.pr
         K = pr.field
         ell = pr.ell
-        assert pr.e == 2 and pr.f == 1
+        if not (pr.e == 2 and pr.f == 1):
+            raise RuntimeError(f"the wild unit enumeration needs e = 2, f = 1, not {pr}")
         mod = ell ** ((N + 1) // 2 + 1)
         out = []
         for a in range(mod):
@@ -130,17 +146,6 @@ class LocalUnitGroup:
             if self._canon(y) in self._cubes:
                 return combo
         raise RuntimeError("wild local coordinate search failed")
-
-
-def pow_mod(x: FieldElement, n: int, pr: PrimeIdeal, N: int) -> FieldElement:
-    r = x.field(1)
-    base = reduce_mod(x, pr, N)
-    while n:
-        if n & 1:
-            r = reduce_mod(r * base, pr, N)
-        base = reduce_mod(base * base, pr, N)
-        n >>= 1
-    return r
 
 
 def is_local_pth_power(x: FieldElement, pr: PrimeIdeal, p: int) -> bool:

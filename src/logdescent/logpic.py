@@ -95,7 +95,8 @@ class LogPic:
                 vec[nv + j] = t[j]
             rels.append(vec)
         self.coker = Cokernel(nv + ncg, rels)
-        assert self.coker.order != 0
+        if self.coker.order == 0:
+            raise RuntimeError("the presentation of logPic is not finite")
 
     def class_coords(self, D: LogDivisor) -> tuple[int, ...]:
         nv = len(self.places)
@@ -113,7 +114,8 @@ class LogPic:
                 c = int(num) % m
                 x[self.places.index(p)] = c
                 rest = a - Fraction(c, m)
-                assert rest.denominator == 1
+                if rest.denominator != 1:
+                    raise RuntimeError(f"coefficient {a} at {p} leaves a fractional rest")
                 e = int(rest)
             else:
                 if a.denominator != 1:
@@ -144,10 +146,11 @@ class LogPic:
             if d and d % p == 0:
                 # project to the p-torsion coordinate: c must be a
                 # multiple of d/p for a p-torsion class
-                assert c % (d // p) == 0, "element is not p-torsion"
+                if c % (d // p):
+                    raise ValueError(f"the class of {D} is not {p}-torsion")
                 row.append((c // (d // p)) % p)
-            else:
-                assert c == 0, "element is not p-torsion"
+            elif c:
+                raise ValueError(f"the class of {D} is not {p}-torsion")
         return row
 
     def span_dim(self, divisors: list[LogDivisor], p: int) -> int:

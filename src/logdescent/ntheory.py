@@ -10,7 +10,8 @@ Textbook algorithms (Cohen, GTM 138, 1.5 and 8.2-8.5):
 - factorint: trial division, then perfect powers and Pollard-Brent on the
   cofactor;
 - sqrt_mod: Tonelli-Shanks;
-- kronecker: the Kronecker symbol, by quadratic reciprocity.
+- kronecker: the Kronecker symbol, by quadratic reciprocity;
+- power: binary powering in any monoid, the one such loop of the package.
 
 Desk-scale limit: Pollard-Brent takes about sqrt(q) steps, q the
 second-largest prime factor, so factoring is fast when every factor but the
@@ -56,6 +57,20 @@ def _strong_probable_prime(n: int, a: int) -> bool:
         if x == n - 1:
             return True
     return False
+
+
+def power(x, n: int, mul, one):
+    """x^n for n >= 0 by right-to-left binary powering: r = mul(r, x) on each
+    set bit of n, starting from one, and x is squared only while bits
+    remain (Cohen, GTM 138, 1.2)."""
+    r = one
+    while True:
+        if n & 1:
+            r = mul(r, x)
+        n >>= 1
+        if not n:
+            return r
+        x = mul(x, x)
 
 
 def kronecker(a: int, n: int) -> int:

@@ -6,8 +6,10 @@ the Euclidean remainder sequence over the fraction field.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
+from .ntheory import power
 from .qfield import FieldElement, QuadField
 
 
@@ -83,14 +85,7 @@ class Poly:
         return Poly(self.field, [other])
 
     def __pow__(self, n: int) -> "Poly":
-        r = Poly(self.field, [1])
-        b = self
-        while n:
-            if n & 1:
-                r = r * b
-            b = b * b
-            n >>= 1
-        return r
+        return power(self, n, operator.mul, Poly(self.field, [1]))
 
     def __divmod__(self, other: "Poly"):
         if other.is_zero():

@@ -9,12 +9,14 @@ residue maps are computed exactly (split primes via Hensel-lifted roots).
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ntheory import factorint, isprime, kronecker, sqrt_mod
+from .ntheory import factorint, isprime, kronecker, power, sqrt_mod
 
 INF = 10 ** 9  # valuation of zero
 
@@ -242,14 +244,7 @@ class FieldElement:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        r = FieldElement(self.field, 1)
-        base = self
-        while n:
-            if n & 1:
-                r = r * base
-            base = base * base
-            n >>= 1
-        return r
+        return power(self, n, operator.mul, FieldElement(self.field, 1))
 
     def __eq__(self, other):
         try:
@@ -336,22 +331,20 @@ def sqrt_element(x: FieldElement) -> FieldElement | None:
 
 
 def format_element(x: FieldElement) -> str:
-    def frac(q: Fraction) -> str:
-        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
+    # str(Fraction) is 'n' or 'n/d'
     if x.b == 0:
-        return frac(x.a)
+        return str(x.a)
     m = x.field.radicand
     if x.b == 1:
         s = f"sqrt({m})"
     elif x.b == -1:
         s = f"-sqrt({m})"
     else:
-        s = f"{frac(x.b)}*sqrt({m})"
+        s = f"{x.b}*sqrt({m})"
     if x.a == 0:
         return s
     sign = "+" if x.b > 0 else ""
-    return f"{frac(x.a)}{sign}{s}"
+    return f"{x.a}{sign}{s}"
 
 
 _ELT_RE = re.compile(
@@ -609,14 +602,7 @@ class ResidueField:
             return pow(x, n, self.ell) if n >= 0 else pow(self.inv(x), -n, self.ell)
         if n < 0:
             return self.pow(self.inv(x), -n)
-        r = self.one()
-        base = x
-        while n:
-            if n & 1:
-                r = self.mul(r, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return r
+        return power(x, n, self.mul, self.one())
 
     def inv(self, x):
         if self.is_zero(x):
@@ -640,31 +626,6 @@ class ResidueField:
             return True
         n = x if self.f == 1 else self._norm(x)
         return pow(n, (self.ell - 1) // 2, self.ell) != self.ell - 1
-
-    def _sqrt(self, x):
-        """A square root of the square x, odd ell (Tonelli-Shanks). For
-        f = 2 the non-square is the first one in element order."""
-        if self.f == 1:
-            return sqrt_mod(x, self.ell)
-        if self.is_zero(x):
-            return x
-        q, s = self.q - 1, 0
-        while not q & 1:
-            q >>= 1
-            s += 1
-        ell = self.ell
-        z = next((a, b) for a in range(ell) for b in range(ell) if not self.is_square((a, b)))
-        one = self.one()
-        m, c, t, r = s, self.pow(z, q), self.pow(x, q), self.pow(x, (q + 1) // 2)
-        while t != one:
-            i, t2 = 1, self.mul(t, t)
-            while t2 != one:
-                t2 = self.mul(t2, t2)
-                i += 1
-            b = self.pow(c, 1 << (m - i - 1))
-            m, c = i, self.mul(b, b)
-            t, r = self.mul(t, c), self.mul(r, b)
-        return r
 
     def elements(self):
         if self.f == 1:
@@ -707,9 +668,12 @@ class ResidueField:
 
     def zeta(self, p: int):
         """A generator of mu_p for p | q - 1: the first g^((q-1)/p) != 1 with
-        g running through elements()."""
+        g running through the nonzero elements in elements() order, walked
+        lazily."""
         if p not in self._zetas:
-            for g in self.elements():
+            ell = self.ell
+            gs = range(1, ell) if self.f == 1 else itertools.product(range(ell), repeat=2)
+            for g in gs:
                 if self.is_zero(g):
                     continue
                 z = self.pow(g, (self.q - 1) // p)
@@ -731,17 +695,45 @@ class ResidueField:
             acc = self.mul(acc, zeta)
         raise RuntimeError("value not in mu_p of the residue field")
 
-    # -- polynomial roots over the residue field -------------------------
+    # -- square roots and polynomial roots over the residue field -----------
+
+    def sqrt(self, x):
+        """A square root of the square x; ValueError for a non-square.
+
+        At ell = 2 it is x^(q/2). At odd ell and f = 1 it is sqrt_mod. At
+        f = 2, s = 2*wbar - tr has s^2 = d, a non-square of F_ell, and
+        x = A + B*s has the root C + E*s, where C^2 is whichever of
+        (A +- sqrt(N(x)))/2 is a square of F_ell and E = B/(2C); for B = 0
+        the root is sqrt(A) or sqrt(A/d)*s."""
+        ell = self.ell
+        if ell == 2:
+            return self.pow(x, self.q // 2)
+        if self.f == 1:
+            return sqrt_mod(x, ell)
+        half = (ell + 1) // 2
+        A, B = (x[0] + x[1] * self.tr * half) % ell, x[1] * half % ell
+        if B:
+            n = sqrt_mod(self._norm(x), ell)
+            C2 = (A + n) * half % ell
+            if pow(C2, (ell - 1) // 2, ell) == ell - 1:
+                C2 = (A - n) * half % ell
+            C = sqrt_mod(C2, ell)
+            E = B * pow(2 * C, -1, ell) % ell
+        elif pow(A, (ell - 1) // 2, ell) != ell - 1:
+            C, E = sqrt_mod(A, ell), 0
+        else:
+            C, E = 0, sqrt_mod(A * pow(self.tr * self.tr - 4 * self.nm, -1, ell), ell)
+        # C + E*s = (C - E*tr) + 2E*wbar
+        return (C - E * self.tr) % ell, 2 * E % ell
 
     def roots(self, coeffs: list) -> list:
         """The distinct roots in the residue field, sorted, of the poly with
         the given coefficients (constant first, elements of this field).
 
-        Closed form for degree 1 (-c0/c1) and, in odd characteristic, for
-        degree 2 (the discriminant's square roots by Tonelli-Shanks). Every
-        other poly (cubics and up, and quadratics at ell = 2, where q <= 4)
-        is scanned over the field for q <= 4096 and split by Cantor-Zassenhaus
-        past that. Sorted order is the scan's own order."""
+        Degree 1 is -c0/c1. At ell = 2, where q <= 4, the field is scanned.
+        At odd ell, degree 2 is solved from the square roots of its
+        discriminant (sqrt), and higher degrees are split by Cantor-Zassenhaus.
+        Sorted order is elements() order."""
         cs = list(coeffs)
         while cs and self.is_zero(cs[-1]):
             cs.pop()
@@ -749,19 +741,17 @@ class ResidueField:
             return []
         if len(cs) == 2:
             return [self.mul(self.neg(cs[0]), self.inv(cs[1]))]
-        if len(cs) == 3 and self.ell != 2:
+        if self.ell == 2:
+            return [x for x in self.elements() if self.is_zero(self._eval(cs, x))]
+        if len(cs) == 3:
             c0, c1, c2 = cs
             d = self.sub(self.mul(c1, c1), self.mul(self.from_int(4), self.mul(c0, c2)))
             if not self.is_square(d):
                 return []
-            s, inv = self._sqrt(d), self.inv(self.add(c2, c2))
+            s, inv = self.sqrt(d), self.inv(self.add(c2, c2))
             return sorted({self.mul(self.sub(s, c1), inv),
                            self.mul(self.neg(self.add(s, c1)), inv)})
-        if self.q <= 4096:
-            return [x for x in self.elements()
-                    if self.is_zero(self._eval(cs, x))]
-        # split off the linear factors via gcd(x^q - x, f), then root-find
-        return self._roots_large(cs)
+        return self._cantor_zassenhaus(cs)
 
     def _eval(self, cs, x):
         acc = self.zero()
@@ -769,12 +759,14 @@ class ResidueField:
             acc = self.add(self.mul(acc, x), c)
         return acc
 
-    def _roots_large(self, cs) -> list:
+    def _cantor_zassenhaus(self, cs) -> list:
+        """The sorted distinct roots at odd ell: h = gcd(x^q - x, f) is the
+        product of the linear factors, split by gcd((x + a)^((q-1)/2) - 1, h)
+        for random a (Cohen, GTM 138, 3.4)."""
         import random
 
         lead_inv = self.inv(cs[-1])
         f = [self.mul(c, lead_inv) for c in cs]
-        # x^q mod f
         xq = self._poly_powmod([self.zero(), self.one()], self.q, f)
         g = self._poly_gcd(self._poly_sub(xq, [self.zero(), self.one()]), f)
         rng = random.Random(self.q)
@@ -796,7 +788,7 @@ class ResidueField:
                 d = self._poly_gcd(t, h)
                 if 1 < len(d) < len(h):
                     stack.append(d)
-                    stack.append(self._poly_divexact(h, d))
+                    stack.append(self._poly_divmod(h, d)[0])
                     break
         return sorted(out)
 
@@ -815,26 +807,8 @@ class ResidueField:
         inv = self.inv(u[-1])
         return [self.mul(c, inv) for c in u]
 
-    def _poly_mod(self, u, v):
-        v = self._poly_monic(v)
-        u = list(u)
-        while len(u) >= len(v):
-            top = u.pop()
-            if self.is_zero(top):
-                continue
-            off = len(u) - (len(v) - 1)
-            for i in range(len(v) - 1):
-                u[off + i] = self.sub(u[off + i], self.mul(top, v[i]))
-        while u and self.is_zero(u[-1]):
-            u.pop()
-        return u
-
-    def _poly_gcd(self, u, v):
-        while v:
-            u, v = v, self._poly_mod(u, v)
-        return u
-
-    def _poly_divexact(self, u, v):
+    def _poly_divmod(self, u, v):
+        """(quotient, remainder) of u by the monic multiple of v."""
         v = self._poly_monic(v)
         u = list(u)
         q = [self.zero()] * (len(u) - len(v) + 1)
@@ -846,17 +820,21 @@ class ResidueField:
             q[off] = top
             for i in range(len(v) - 1):
                 u[off + i] = self.sub(u[off + i], self.mul(top, v[i]))
-        return q
+        while u and self.is_zero(u[-1]):
+            u.pop()
+        return q, u
+
+    def _poly_gcd(self, u, v):
+        while v:
+            u, v = v, self._poly_divmod(u, v)[1]
+        return u
 
     def _poly_powmod(self, base, n, f):
-        r = [self.one()]
-        b = self._poly_mod(base, f)
-        while n:
-            if n & 1:
-                r = self._poly_mod(self._mul_plain(r, b), f)
-            b = self._poly_mod(self._mul_plain(b, b), f)
-            n >>= 1
-        return r
+        """base^n modulo the monic f."""
+        def mulmod(u, v):
+            return self._poly_divmod(self._mul_plain(u, v), f)[1]
+
+        return power(self._poly_divmod(base, f)[1], n, mulmod, [self.one()])
 
     def _mul_plain(self, u, v):
         if not u or not v:
@@ -868,11 +846,6 @@ class ResidueField:
             for j, vj in enumerate(v):
                 prod[i + j] = self.add(prod[i + j], self.mul(ui, vj))
         return prod
-
-    def sqrt(self, x):
-        """A square root of x, or None."""
-        rs = self.roots([self.neg(x), self.zero(), self.one()])
-        return rs[0] if rs else None
 
 
 # -- exact Hensel lifting against a prime --------------------------------
@@ -908,30 +881,23 @@ def hensel_root(coeffs: list[FieldElement], prime: PrimeIdeal, root0: FieldEleme
     """Lift a simple residue root root0 of the polynomial (coefficients
     constant-first, integral at prime) to a root modulo prime^N."""
 
-    def ev(x):
+    def ev(cs, x):
         acc = x.field.zero()
-        for c in reversed(coeffs):
+        for c in reversed(cs):
             acc = acc * x + c
         return acc
 
     dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
-
-    def dev(x):
-        acc = x.field.zero()
-        for c in reversed(dcoeffs):
-            acc = acc * x + c
-        return acc
-
     x = root0
-    if prime.val(ev(x)) < 1 or prime.val(dev(x)) != 0:
+    if prime.val(ev(coeffs, x)) < 1 or prime.val(ev(dcoeffs, x)) != 0:
         raise ValueError(f"{root0} is not a simple root modulo {prime}")
     prec = 1
     while prec < N:
         prec = min(2 * prec, N)
-        inv = invert_mod(dev(x), prime, prec)
-        x = x - ev(x) * inv
+        inv = invert_mod(ev(dcoeffs, x), prime, prec)
+        x = x - ev(coeffs, x) * inv
         coefN = (prec + prime.e - 1) // prime.e + 1
         x = reduce_mod(x, prime, coefN)
-    if prime.val(ev(x)) < N:
+    if prime.val(ev(coeffs, x)) < N:
         raise RuntimeError(f"Hensel lift at {prime} fell short of precision {N}")
     return x

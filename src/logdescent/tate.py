@@ -2,11 +2,12 @@
 the special fiber of the minimal regular model.
 
 Works over Q and over quadratic fields at any residue characteristic.
-Residue roots of linear polys, and of quadratics in odd characteristic, are
-closed-form (ResidueField.roots), and there the split test of multiplicative
+In odd characteristic no residue field is scanned: ResidueField.roots is
+closed-form for linear polys and quadratics and splits the cubic P(T) of
+type I0* by Cantor-Zassenhaus, and the split test of multiplicative
 reduction asks whether b2 is a square. The residue field is scanned only in
-characteristic 2, where q <= 4 (singular point, quadratics, split test), and
-for the roots of the cubic P(T) of type I0*.
+characteristic 2, where q <= 4 (singular point, quadratics, split test,
+P(T)).
 """
 
 from __future__ import annotations

@@ -136,6 +136,22 @@ def _run_optimized(argv, setup=""):
                                "runpy.run_module('logdescent.cli', run_name='__main__')")
 
 
+def test_descents_over_q_answer(capsys):
+    # omitting --D descends over Q, whose class group is trivial
+    args = ARGS_11A_47[2:]
+    code, out, _ = _run(capsys, ["selmer", *args])
+    assert code == 0
+    assert "Selmer basis: ['11']" in out
+    assert "dim Sel^phi = 1, dim Sel^phihat = 0, dim Sel^p = 0" in out
+    code, out, _ = _run(capsys, ["report", *args])
+    assert code == 0
+    assert "psi values: 1/5 (11)" in out
+    assert "dim Sha[phi] (assuming the points generate): 0 <= dim <= 0" in out
+    code, out, _ = _run(capsys, ["psi", *args, "--point", "5,5"])
+    assert code == 0
+    assert "psi((5, 5)) = 1/5 (11)  [vector [1]]" in out
+
+
 def test_non_torsion_point_rejected_under_optimize():
     proc = _run_optimized(["selmer", *ARGS_11A_47[:-2], "--P", "4,-1/2+1/2*sqrt(-47)"])
     assert proc.returncode == 1

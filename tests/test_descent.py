@@ -106,6 +106,27 @@ def test_context_scans_no_odd_residue_field_and_builds_no_x_map(monkeypatch, d):
                 assert len(ld.node) == 4
 
 
+@pytest.mark.parametrize("d", [None, -1])
+def test_tate_i0_star_scans_no_odd_residue_field(monkeypatch, d):
+    # the cubic P(T) of type I0* is split by Cantor-Zassenhaus at every odd
+    # ell: y^2 = x^3 - 9x has P(T) = T^3 - T at 3, with the three roots of
+    # F_3; 3 is inert in Q(i), so q = 9 there
+    from logdescent.ellcurve import curve_from_rational
+    from logdescent.tate import tate_local_data
+
+    scan = ResidueField._eval
+
+    def no_odd_scan(k, cs, x):
+        if k.ell != 2:
+            raise AssertionError(f"residue field scanned at {k.prime}")
+        return scan(k, cs, x)
+
+    monkeypatch.setattr(ResidueField, "_eval", no_odd_scan)
+    K = make_field(d)
+    ld = tate_local_data(curve_from_rational(K, (0, 0, 0, -9, 0)), primes_above(K, 3)[0])
+    assert (ld.kodaira, ld.c) == ("I0*", 4)
+
+
 def test_classification_11a_sqrt_m47():
     ctx = _ctx_11a(-47)
     assert [pr.label() for pr in ctx.S1] == ["(11)"]
@@ -193,6 +214,23 @@ def test_selmer_dims_sqrt_2_both_pairs():
     # S_2 = {(5)} imposes one condition with n_v = 1
     assert len(sel35.matrix[0]) == 1
     assert selmer_phihat_dim(ctx35, sel35) == sel35.dim - (2 + 2 - 1 + 0 - 1)
+
+
+def test_selmer_dims_over_q():
+    # Cl(Z) is trivial, so a rational prime has the identity class. 11a1:
+    # E'(Q) = Z/5 and E(Q) = 0 with rank 0; 35a: S_2 = {(5)}
+    ctx = _ctx_11a(None)
+    sel = selmer_phi(ctx)
+    assert sel.dim == 1 and [str(x) for x in sel.basis_elements()] == ["11"]
+    assert selmer_phihat_dim(ctx, sel) == 0
+    assert sel_p_dim_if_applicable(ctx, sel) == 0
+    assert ctx.torsion().dim == 1
+    ctx35 = _ctx_35a(None)
+    sel35 = selmer_phi(ctx35)
+    assert sel35.dim == 1 and [str(x) for x in sel35.basis_elements()] == ["7"]
+    assert selmer_phihat_dim(ctx35, sel35) == 1
+    assert sel_p_dim_if_applicable(ctx35, sel35) is None
+    assert ctx35.torsion().dim == 1
 
 
 def test_duality_identity_with_nonempty_s2():

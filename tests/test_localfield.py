@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import logdescent
 from logdescent.localfield import LocalUnitGroup, is_local_pth_power
 from logdescent.qfield import make_field, primes_above, reduce_mod
 
@@ -112,3 +116,31 @@ def test_valuation_aware_test():
     assert is_local_pth_power(Q(11 ** 5), pr, 5)
     assert is_local_pth_power(Q(10 * 11 ** 5), pr, 5)
     assert not is_local_pth_power(Q(2) * 11 ** 5, pr, 5)
+
+
+def test_named_errors_survive_optimize():
+    # a non-unit given to LocalUnitGroup.coords, and a class that is not
+    # p-torsion given to LogPic.p_torsion_vector, raise ValueError under -O:
+    # (1/25)(11) has order 25, and (1/2)(11) order 2
+    src = os.path.dirname(os.path.dirname(os.path.abspath(logdescent.__file__)))
+    script = ("import sys\n"
+              "from fractions import Fraction\n"
+              "from logdescent.localfield import LocalUnitGroup\n"
+              "from logdescent.logpic import LogDivisor, LogPic\n"
+              "from logdescent.qfield import make_field, primes_above\n"
+              "assert False, 'asserts are on'\n"
+              "Q = make_field(None)\n"
+              "v = primes_above(Q, 11)[0]\n"
+              "D = LogDivisor(Q, {v: Fraction(1, 25)})\n"
+              "E = LogDivisor(Q, {v: Fraction(1, 2)})\n"
+              "for bad in (lambda: LocalUnitGroup(v, 5).coords(Q(22)),\n"
+              "            lambda: LogPic(Q, {v: 25}).p_torsion_vector(D, 5),\n"
+              "            lambda: LogPic(Q, {v: 2}).p_torsion_vector(E, 5)):\n"
+              "    try:\n"
+              "        bad()\n"
+              "    except ValueError:\n"
+              "        continue\n"
+              "    sys.exit(1)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr

@@ -183,8 +183,8 @@ def test_residue_roots_brute_vs_large():
 
 
 def _large_residue_field(which):
-    """F_{79^2} (79 is inert in Q(i)) or F_4099, both past the 4096 cutoff
-    where roots() stops enumerating the field."""
+    """F_{79^2} (79 is inert in Q(i)) or F_4099, fields too large to scan
+    cheaply, where roots() splits cubics and up by Cantor-Zassenhaus."""
     if which == 0:
         return ResidueField(primes_above(make_field(-1), 79)[0])
     return ResidueField(primes_above(make_field(None), 4099)[0])
@@ -226,10 +226,11 @@ def _scan_roots(k, cs):
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(_RADICANDS + [None]), st.data())
 def test_closed_form_roots_and_squares_match_the_scan(D, data):
-    # degree 1 and 2 roots are closed-form at odd ell (the discriminant and a
-    # Tonelli-Shanks square root), and is_square is Euler's criterion on the
-    # norm; the scan over the residue field is the oracle for both. Primes
-    # are split, inert (f = 2) or, half the time when there is one, ramified
+    # degree 1 and 2 roots are closed-form at odd ell (the discriminant and
+    # ResidueField.sqrt), cubics are split by Cantor-Zassenhaus at every q,
+    # and is_square is Euler's criterion on the norm; the scan over the
+    # residue field is the oracle for all three. Primes are split, inert
+    # (f = 2) or, half the time when there is one, ramified
     K = make_field(D)
     ramified = [q for q in _ODD_PRIMES if K.disc % q == 0]
     ell = data.draw(st.sampled_from(ramified if ramified and data.draw(st.booleans())
@@ -242,7 +243,8 @@ def test_closed_form_roots_and_squares_match_the_scan(D, data):
     squares = {k.mul(y, y) for y in elts}
     x = data.draw(pick)
     assert k.is_square(x) == (x in squares)
-    shape = data.draw(st.sampled_from(["linear", "product", "double", "x^2 - n", "random"]))
+    shape = data.draw(st.sampled_from(["linear", "product", "double", "x^2 - n", "random",
+                                       "cubic product", "cubic"]))
     c = data.draw(unit)
     if shape == "linear":
         cs = [data.draw(pick), c]
@@ -253,6 +255,13 @@ def test_closed_form_roots_and_squares_match_the_scan(D, data):
     elif shape == "x^2 - n":
         # n a non-square, so no roots
         cs = [k.neg(data.draw(pick.filter(lambda n: n not in squares))), k.zero(), k.one()]
+    elif shape == "cubic product":
+        # c * (x - r1)(x - r2)(x - r3), repeated roots too
+        cs = [c]
+        for r in (data.draw(pick) for _ in range(3)):
+            cs = [k.sub(a, k.mul(r, b)) for a, b in zip([k.zero()] + cs, cs + [k.zero()])]
+    elif shape == "cubic":
+        cs = [data.draw(pick), data.draw(pick), data.draw(pick), c]
     else:
         cs = [data.draw(pick), data.draw(pick), c]
     expected = _scan_roots(k, cs)

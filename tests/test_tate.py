@@ -262,6 +262,19 @@ def test_component_index_in_star_leading_coefficient_known_defect():
     assert ld.c == 4 and component_index(ld, E.point(27, 0), E) in (2, 3)
 
 
+@pytest.mark.xfail(strict=True, raises=ValueError, reason=(
+    "known defect: without a2/pi in the even-stage In* quadratic, the wrong "
+    "root is moved to 0 and a later quadratic has a coefficient that is not integral"))
+def test_in_star_missing_leading_coefficient_not_integral_known_defect():
+    # v(c4), v(c6), v(disc) = 2, 3, 8 at the prime above 5: type I2*
+    K = make_field(5)
+    s = K.sqrt_gen()
+    E = Curve(K, K(-10), -30 - s, -200 - 40 * s, -75 + 40 * s, 1000 - 100 * s)
+    pr = primes_above(K, 5)[0]
+    assert (pr.val(E.c4), pr.val(E.c6), pr.val(E.disc)) == (2, 3, 8)
+    assert tate_local_data(E, pr).kodaira == "I2*"
+
+
 def test_component_index_additivity_random_in():
     # a curve with larger split multiplicative reduction: y^2 + xy = x^3 + x^2 - 10x - 10?
     # use 11a1 over Q(sqrt 3) at a split prime of 11? 11 in disc 12 field:
