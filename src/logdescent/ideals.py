@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 import operator
+import weakref
 from fractions import Fraction
 from functools import cached_property
 
@@ -433,6 +434,8 @@ class ClassGroup:
         self.field = field
         self.factor_base = factor_base
         self.coker = coker
+        # by tuple(S), for as long as a caller holds the S-class group
+        self._s_class_groups = weakref.WeakValueDictionary()
         self._prime_dlog_cache: dict[PrimeIdeal, tuple[int, ...]] = {}
         for i, p in enumerate(factor_base):
             e = [0] * len(factor_base)
@@ -630,12 +633,15 @@ class FieldSelmerBasis:
     fields); class_gens realize the p-torsion of Cl(O_{K,S}).
     """
 
-    def __init__(self, field, S, p, unit_gens, class_gens):
+    def __init__(self, field, S, p, unit_gens, class_gens, scl=None):
         self.field = field
         self.S = list(S)
         self.p = p
         self.unit_gens = unit_gens
         self.class_gens = class_gens
+        # the S-class group the basis came from: holding it lets later
+        # s_class_group calls for this S share it while the basis lives
+        self.scl = scl
 
     @property
     def gens(self) -> list[FieldElement]:
@@ -703,8 +709,14 @@ class SClassGroup(Cokernel):
 
 
 def s_class_group(cg: ClassGroup, S: list[PrimeIdeal]) -> SClassGroup:
-    """Cl(O_{K,S}) presented on the class group's generators."""
-    return SClassGroup(cg, S)
+    """Cl(O_{K,S}) presented on the class group's generators. One is shared
+    per (class group, S) while any caller holds it; no caller changes an
+    SClassGroup after it is built."""
+    key = tuple(S)
+    scl = cg._s_class_groups.get(key)
+    if scl is None:
+        scl = cg._s_class_groups[key] = SClassGroup(cg, S)
+    return scl
 
 
 def theta_image_dim(cg: ClassGroup, S: list[PrimeIdeal], p: int) -> int:
@@ -746,4 +758,4 @@ def field_selmer_basis(field: QuadField, S: list[PrimeIdeal], p: int) -> FieldSe
         if not ok:
             raise RuntimeError("a lift of Cl(O_{K,S})[p] is not principal")
         class_gens.append(gen / n)
-    return FieldSelmerBasis(field, S, p, unit_gens, class_gens)
+    return FieldSelmerBasis(field, S, p, unit_gens, class_gens, scl)

@@ -178,12 +178,13 @@ def dual_isogeny(phi: Isogeny) -> Isogeny:
 
 
 def neron_scaling(z2: FieldElement, ld_dom: LocalData, ld_cod: LocalData) -> Fraction:
-    """a_v(psi) = v(z) + v(u_dom) - v(u_cod) at the place of the data, for
-    psi: dom -> cod with z_psi^2 = z2."""
+    """a_v(psi) = v(z) + v(u_cod) - v(u_dom) at the place of the data, for
+    psi: dom -> cod with z_psi^2 = z2. A model change x = u^2 x' + r gives
+    w' = u w, so on the minimal models psi* w'_cod = z u_cod / u_dom w_dom."""
     vz2 = ld_dom.prime.val(z2)
     if vz2 % 2:
         raise RuntimeError(f"v(z^2) = {vz2} is odd")
-    return Fraction(vz2, 2) + ld_dom.vu - ld_cod.vu
+    return Fraction(vz2, 2) + ld_cod.vu - ld_dom.vu
 
 
 @dataclass

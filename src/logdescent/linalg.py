@@ -77,11 +77,14 @@ def smith_normal_form(a: list[list[int]], with_v: bool = False) -> tuple[list[li
             row[j] -= q * row[i]
 
     def addmul_col(i, j, q):
+        # only the rows with a nonzero entry in column j change
         for row in s:
-            row[i] += q * row[j]
+            if row[j]:
+                row[i] += q * row[j]
         if with_v:
             for row in v:
-                row[i] += q * row[j]
+                if row[j]:
+                    row[i] += q * row[j]
 
     def neg_row(i):
         s[i] = [-x for x in s[i]]

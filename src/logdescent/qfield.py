@@ -169,9 +169,14 @@ class FieldElement:
             return FieldElement(self.field, other.numerator, 0, other.denominator)
         return NotImplemented
 
+    # An int operand n skips _coerce: A + n*D and A - n*D keep gcd(., B, D) =
+    # gcd(A, B, D) = 1, so sums need no gcd; n*(A, B)/D goes through one.
+
     def __add__(self, other):
         o = other
         if type(o) is not FieldElement or o.field is not self.field:
+            if type(o) is int:
+                return _reduced(self.field, self.A + o * self.D, self.B, self.D)
             o = self._coerce(other)
             if o is NotImplemented:
                 return NotImplemented
@@ -186,6 +191,8 @@ class FieldElement:
     def __sub__(self, other):
         o = other
         if type(o) is not FieldElement or o.field is not self.field:
+            if type(o) is int:
+                return _reduced(self.field, self.A - o * self.D, self.B, self.D)
             o = self._coerce(other)
             if o is NotImplemented:
                 return NotImplemented
@@ -193,6 +200,8 @@ class FieldElement:
                            self.B * o.D - o.B * self.D, self.D * o.D)
 
     def __rsub__(self, other):
+        if type(other) is int:
+            return _reduced(self.field, other * self.D - self.A, -self.B, self.D)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
@@ -201,6 +210,8 @@ class FieldElement:
     def __mul__(self, other):
         o = other
         if type(o) is not FieldElement or o.field is not self.field:
+            if type(o) is int:
+                return _normalized(self.field, o * self.A, o * self.B, self.D)
             o = self._coerce(other)
             if o is NotImplemented:
                 return NotImplemented
@@ -278,6 +289,14 @@ class FieldElement:
 
     def __repr__(self):
         return format_element(self)
+
+
+def _reduced(field: QuadField, A: int, B: int, D: int) -> FieldElement:
+    """(A + B*sqrt(m))/D already in lowest terms, with D > 0 and B = 0 over Q."""
+    x = object.__new__(FieldElement)
+    x.field = field
+    x.A, x.B, x.D = A, B, D
+    return x
 
 
 def _normalized(field: QuadField, A: int, B: int, D: int) -> FieldElement:
@@ -461,6 +480,9 @@ class PrimeIdeal:
             num = _int_val(x.numerator, self.ell)
             den = _int_val(x.denominator, self.ell)
             return (num - den) * self.e
+        if not x.B:
+            # rational A/D: e * (v_ell(A) - v_ell(D)) at every prime above ell
+            return (_int_val(x.A, self.ell) - _int_val(x.D, self.ell)) * self.e
         A, B, den = x.integer_coords()
         vden = _int_val(den, self.ell) * self.e
         if self.kind == "rational":

@@ -2,6 +2,11 @@
 the special fiber of the minimal regular model.
 
 Works over Q and over quadratic fields at any residue characteristic.
+A bad place of odd characteristic with v(c4) = 0 is read off the invariants
+(Cremona, Algorithms for Modular Elliptic Curves, 3.2) and walks to its
+minimal model only when that is read (LocalData); every other place walks
+at once.
+
 In odd characteristic no residue field is scanned: ResidueField.roots is
 closed-form for linear polys and quadratics and splits the cubic P(T) of
 type I0* by Cantor-Zassenhaus, and the split test of multiplicative
@@ -25,13 +30,18 @@ COMP_ORDER = {"I0": 1, "II": 1, "III": 2, "IV": 3, "I0*": 4, "IV*": 3, "III*": 2
 
 @dataclass
 class LocalData:
-    """Tate's algorithm at one place. The properties past the fields are the
+    """Tate's algorithm at one place: the reduction data, and the minimal
+    model curve_min with the transform urst from the input model to it.
+
+    At odd residue characteristic a bad place with v(c4) = 0 on the model
+    with denominators cleared is read off the invariants: it is minimal of
+    type In with n = v(disc), and split iff -c6 is a square mod pi. Its
+    curve_min and urst are built on first use, by the same walk that every
+    other place takes at once. The properties past the model are the
     per-place constants of map_point and component_index, each computed on
     first use, so once per place."""
 
     prime: PrimeIdeal
-    curve_min: Curve          # minimal model, singular point at (0,0) mod pi
-    urst: tuple               # transform input model -> curve_min
     kodaira: str              # "I0", "I5", "II", ..., "I3*"
     n: int                    # index for In / In*, else 0
     ncomp: int                # components of the special fiber over kbar
@@ -39,11 +49,34 @@ class LocalData:
     c: int                    # Tamagawa number #Phi(k)
     split: bool | None        # for multiplicative reduction
     vdisc: int                # v(disc of minimal model)
-    vu: int                   # v(u) of the transform (>= 0 for integral input)
+    vu: int                   # v(u) of urst (>= 0 for integral input)
     # IV, IV*, I0*, In*: (coord, e, roots). A point at the singular point of
     # curve_min lies on the branch of its residue of coord/pi^e among the
     # sorted residue roots of the last equation of the algorithm
     branches: tuple = ()
+    # read off the invariants: (model, urst) with denominators cleared, where
+    # the walk to curve_min starts
+    cleared: tuple | None = None
+
+    @cached_property
+    def _model(self) -> tuple:
+        """(curve_min, urst), walked from the cleared model on first use."""
+        ld = _walk(*self.cleared, self.prime)
+        _check((ld.kodaira, ld.c, ld.split, ld.vdisc, ld.vu)
+               == (self.kodaira, self.c, self.split, self.vdisc, self.vu),
+               "the walk and the invariants give different local data",
+               self.prime)
+        return ld._model
+
+    @property
+    def curve_min(self) -> Curve:
+        """The minimal model, singular point at (0,0) mod pi."""
+        return self._model[0]
+
+    @property
+    def urst(self) -> tuple:
+        """The transform input model -> curve_min."""
+        return self._model[1]
 
     @property
     def f(self) -> int:
@@ -155,20 +188,48 @@ def _singular_point(E: Curve, k: ResidueField):
     raise RuntimeError("no singular point found on a singular reduction")
 
 
+def _multiplicative(n: int, split: bool) -> tuple:
+    """(kodaira, n, ncomp, comp_order, c, split) of type In."""
+    return f"I{n}", n, n, n, n if split else 2 - n % 2, split
+
+
+def _clear(E: Curve, pr: PrimeIdeal) -> tuple:
+    """(E', urst): E scaled by 1/pi until it is integral at pr, and the
+    transform from E to E'."""
+    K = E.field
+    v = pr.val
+    urst = (K.one(), K.zero(), K.zero(), K.zero())
+    while any(v(a) < 0 for a in E.ainvs):
+        step = (pr.uniformizer().inverse(), K.zero(), K.zero(), K.zero())
+        E = E.transform(*step)
+        urst = _compose_urst(urst, step)
+    return E, urst
+
+
 def tate_local_data(E_in: Curve, pr: PrimeIdeal) -> LocalData:
-    K = E_in.field
+    """Local data of E_in at pr (see LocalData)."""
+    E, urst = _clear(E_in, pr)
+    v = pr.val
+    # odd residue characteristic, v(c4) = 0 < v(disc): In with n = v(disc).
+    # With the node at (0,0), c4 = b2^2 and c6 = -b2^3 mod pi, so this is the
+    # walk's multiplicative branch, and -c6 is a square iff b2 is
+    n = v(E.disc)
+    if n and pr.ell != 2 and v(E.c4) == 0:
+        k = ResidueField(pr)
+        split = k.is_square(k.reduce(-E.c6))
+        return LocalData(pr, *_multiplicative(n, split), n, v(urst[0]), cleared=(E, urst))
+    return _walk(E, urst, pr)
+
+
+def _walk(E: Curve, urst: tuple, pr: PrimeIdeal) -> LocalData:
+    """Tate's algorithm from E, a model integral at pr that urst maps the
+    input model to: move the singular point to (0,0) and read the type off
+    the valuations, rescaling while the model is not minimal."""
+    K = E.field
     k = ResidueField(pr)
     pi = pr.uniformizer()
     v = pr.val
     one = K.one()
-    urst = (one, K.zero(), K.zero(), K.zero())
-    E = E_in
-
-    # clear denominators at pr
-    while any(v(a) < 0 for a in E.ainvs):
-        step = (pi.inverse(), K.zero(), K.zero(), K.zero())
-        E = E.transform(*step)
-        urst = _compose_urst(urst, step)
 
     def apply(u, r, s, t):
         nonlocal E, urst
@@ -177,8 +238,10 @@ def tate_local_data(E_in: Curve, pr: PrimeIdeal) -> LocalData:
         urst = _compose_urst(urst, step)
 
     def done(kodaira, n, ncomp, comp_order, c, split=None, branches=()):
-        return LocalData(pr, E, urst, kodaira, n, ncomp, comp_order, c, split,
-                         v(E.disc), v(urst[0]), branches)
+        ld = LocalData(pr, kodaira, n, ncomp, comp_order, c, split,
+                       v(E.disc), v(urst[0]), branches)
+        ld._model = (E, urst)
+        return ld
 
     while True:
         if v(E.disc) == 0:
@@ -194,13 +257,11 @@ def tate_local_data(E_in: Curve, pr: PrimeIdeal) -> LocalData:
             # multiplicative: In with n = v(disc). Split iff the tangent
             # slopes, the roots of T^2 + a1 T - a2, lie in k; in odd
             # characteristic iff their discriminant b2 is a square
-            n = v(E.disc)
             if k.ell != 2:
                 split = k.is_square(k.reduce(E.b2))
             else:
                 split = len(_k_roots(k, [-E.a2, E.a1, one])) == 2
-            c = n if split else (2 if n % 2 == 0 else 1)
-            return done(f"I{n}", n, n, n, c, split)
+            return done(*_multiplicative(v(E.disc), split))
 
         if v(E.a6) < 2:
             return done("II", 0, 1, 1, 1)

@@ -2,8 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from logdescent import tate
 from logdescent.ellcurve import curve_from_rational
 from logdescent.qfield import make_field
+
+LD_FIELDS = ("kodaira", "n", "ncomp", "comp_order", "c", "split", "vdisc", "vu", "branches")
 
 
 @pytest.fixture(scope="session")
@@ -23,3 +26,17 @@ def worked_curves():
         E = curve_from_rational(K, ainvs)
         out[label] = (E, E.point(K(P[0]), K(P[1])), [E.point(K(x), K(*y)) for x, y in gens])
     return out
+
+
+@pytest.fixture(scope="session")
+def matches_walk():
+    """check(ld, E, pr) asserts that ld, the local data of E at pr, agrees
+    with Tate's algorithm forced down the walk from the cleared model: first
+    the data, then the minimal model, which ld may build only now."""
+    def check(ld, E, pr):
+        walked = tate._walk(*tate._clear(E, pr), pr)
+        for name in LD_FIELDS:
+            assert getattr(ld, name) == getattr(walked, name), (name, E, pr)
+        assert ld.curve_min.ainvs == walked.curve_min.ainvs
+        assert ld.urst == walked.urst
+    return check

@@ -21,10 +21,12 @@ import difflib
 import sys
 from pathlib import Path
 
+import pytest
+
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from logdescent import descent
+from logdescent import descent, isogeny
 from logdescent.ellcurve import curve_from_rational
 from logdescent.ideals import class_group
 from logdescent.qfield import format_element, make_field
@@ -84,15 +86,32 @@ def census_text() -> str:
     return "\n".join(lines) + "\n"
 
 
-def test_census_matches_golden():
+@pytest.fixture(scope="module")
+def census_run():
+    """The census text, and the local data of every Tate call it makes:
+    the run starts from an empty Tate cache and keeps what it fills."""
+    with pytest.MonkeyPatch.context() as mp:
+        cache = {}
+        mp.setattr(isogeny, "_TATE_CACHE", cache)
+        return census_text(), cache
+
+
+def test_census_matches_golden(census_run):
     want = GOLDEN.read_text()
-    got = census_text()
+    got = census_run[0]
     if got != want:
         diff = list(difflib.unified_diff(want.splitlines(), got.splitlines(),
                                          "golden", "now", lineterm="", n=0))
         raise AssertionError("census differs from the golden (re-record with "
                              "`python tests/test_census.py --record` only for an "
                              "intended change):\n" + "\n".join(diff[:40]))
+
+
+def test_census_tate_calls_match_the_walk(census_run, matches_walk):
+    calls = census_run[1]
+    assert len(calls) > 8000
+    for (E, pr), ld in calls.items():
+        matches_walk(ld, E, pr)
 
 
 def test_census_window():

@@ -273,6 +273,17 @@ def test_exit_code_hypothesis_failure(capsys):
     assert "Hyp 4" in err
 
 
+def test_additive_place_above_p_is_a_hypothesis_failure(capsys):
+    # type IV at the ramified prime above 3 on both curves, with Neron
+    # scalings (1, 1) there: a named failure, not a negative scaling
+    code, _, err = _run(capsys, ["selmer", "--D", "-78", "--a1", "1", "--a2", "-1",
+                                 "--a3", "1", "--a4", "1", "--a6", "-1",
+                                 "--p", "3", "--P", "1,0"])
+    assert code == 2
+    assert "Hyp 5: place (3,sqrt(-78)) above 3 neither forward nor backward" in err
+    assert "Traceback" not in err and "Neron" not in err
+
+
 def test_out_file(tmp_path, capsys):
     dest = tmp_path / "out.json"
     code, out, _ = _run(capsys, ["selmer", *ARGS_11A_47, "--format", "json",

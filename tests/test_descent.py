@@ -76,6 +76,31 @@ def test_context_builds_one_isogeny(monkeypatch):
     assert not hasattr(ctx, "phi")
 
 
+@pytest.mark.parametrize("d", [-47, -5, 2])
+def test_context_builds_one_s_class_group_for_s1(monkeypatch, d):
+    # H^1(U_1, mu_p), Cl(O_{K,S_1}) and logPic(X,S_1)[p] share one Smith
+    # form of the S_1-class map; it is released with the context
+    from logdescent import ideals
+    built = []
+    init = ideals.SClassGroup.__init__
+
+    def counted(self, cg, S):
+        built.append(tuple(S))
+        init(self, cg, S)
+    monkeypatch.setattr(ideals.SClassGroup, "__init__", counted)
+    ctx = _ctx_11a(d)
+    sel = selmer_phi(ctx)
+    selmer_phihat_dim(ctx, sel)
+    sel_p_dim_if_applicable(ctx, sel)
+    ctx.torsion()
+    S1 = tuple(ctx.S1)
+    assert built.count(S1) == 1
+    assert ctx.h1.scl is ctx.cl_S1
+    cache = ideals.class_group(ctx.field)._s_class_groups
+    del ctx, sel
+    assert S1 not in cache
+
+
 @pytest.mark.parametrize("d", [-47, 5])
 def test_context_scans_no_odd_residue_field_and_builds_no_x_map(monkeypatch, d):
     # 11a1 is semistable: Tate's algorithm sees only I0 and In, whose residue

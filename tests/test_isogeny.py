@@ -128,6 +128,40 @@ RADICANDS = [m for m in range(-299, 300)
              if m not in (0, 1) and all(m % (k * k) for k in range(2, 18))]
 
 
+def _classification(dom, cod, z2, pr, p):
+    try:
+        cl = classify_place(dom, cod, z2, pr, p)
+    except RuntimeError as exc:
+        return str(exc)
+    return cl.a_phi, cl.a_dual, cl.direction
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(ISOGENIES)), st.sampled_from([None, -47, -3, 5, -78, 79]),
+       st.sampled_from(["dom", "cod"]), st.integers(-2, 2),
+       st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any))
+@example("11a1", None, "cod", -1, (1, 0))
+def test_neron_scaling_is_independent_of_the_models(label, m, side, k, xy):
+    # x = u^2 x' + r gives w' = u w. Rescaling the codomain of psi by u
+    # multiplies z_psi by u, rescaling the domain divides it by u; the
+    # scalings between minimal models, and so the direction, stay the same
+    ainvs, p, (px, py) = ISOGENIES[label]
+    K = make_field(m)
+    dom = curve_from_rational(K, ainvs)
+    psi = isogeny_from_kernel_point(dom, dom.point(K(px), K(py)), p)
+    cod, z2 = psi.codomain, psi.z_squared
+    u = K(p) ** k * K(*xy) if m else K(p) ** k * K(xy[0] or xy[1])
+    if side == "cod":
+        dom2, cod2, z2b = dom, cod.transform(u, 0, 0, 0), z2 * u * u
+    else:
+        dom2, cod2, z2b = dom.transform(u, 0, 0, 0), cod, z2 / (u * u)
+    places = set()
+    for x in (dom2.disc, cod2.disc, K(p)):
+        places.update(prime_divisors(K, x))
+    for pr in places:
+        assert _classification(dom2, cod2, z2b, pr, p) == _classification(dom, cod, z2, pr, p)
+
+
 # no shrinking: each example builds an explicit dual, and a failing one is
 # already a small (isogeny, field) pair
 @settings(max_examples=15, deadline=None,

@@ -410,6 +410,34 @@ def test_field_element_matches_fraction_pairs(D, a1, b1, a2, b2, k, q, n):
     assert (x == y) == (X == Y)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_ORACLE_FIELDS), st.sampled_from([2, 3, 5, 7, 11, 47, 79]),
+       st.fractions(max_denominator=10 ** 6).filter(lambda r: r != 0))
+def test_rational_valuations_match_the_norm_route(D, ell, r):
+    # val reads a rational element off its numerator and denominator; the
+    # Fraction path agrees, and so does the norm route on r times the unit
+    # 1 + ell*sqrt(m) at the primes above ell
+    K = make_field(D)
+    for pr in primes_above(K, ell):
+        assert pr.val(K(r)) == pr.val(r)
+        if not K.is_rational:
+            assert pr.val(K(r)) == pr.val(K(r) * K(1, ell))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_ORACLE_FIELDS), _small, _small,
+       st.integers(-5, 5) | st.integers(-10 ** 30, 10 ** 30))
+def test_int_operands_match_the_coerced_element(D, a, b, n):
+    # an int operand skips _coerce; the result is the one of FieldElement(K, n)
+    K = make_field(D)
+    x = K(a, 0 if K.is_rational else b)
+    c = FieldElement(K, n)
+    for got, want in ((x + n, x + c), (n + x, c + x), (x - n, x - c), (n - x, c - x),
+                      (x * n, x * c), (n * x, c * x)):
+        assert type(got) is FieldElement and got.field is K
+        assert (got.A, got.B, got.D) == (want.A, want.B, want.D)
+
+
 def test_equal_elements_hash_equal():
     for D in _ORACLE_FIELDS:
         K = make_field(D)

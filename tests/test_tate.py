@@ -356,3 +356,110 @@ def test_invariant_errors_name_the_place():
     k = ResidueField(primes_above(Q, 7)[0])
     with pytest.raises(RuntimeError, match=r"Tate's algorithm at \(7\): 0 singular"):
         tate_module._singular_point(E, k)
+
+
+# -- semistable places read off the invariants ------------------------------
+
+def test_invariant_route_matches_the_walk_random(matches_walk):
+    # odd ell at split, inert and ramified primes. Most models are singular
+    # at a random point mod pi (a1, a2 units give In); some have c4 = 0, and
+    # some have denominators at pr, which the clearing steps remove
+    rng = random.Random(17)
+    seen = {}
+    n_curves = 0
+    for m in (None, -1, -3, 5, -7, 3, -47, 13):
+        K = make_field(m)
+        for ell in (3, 5, 7, 11, 13):
+            for pr in primes_above(K, ell):
+                pi = pr.uniformizer()
+
+                def rnd():
+                    return K(rng.randint(-4, 4), rng.randint(-4, 4) if m else 0)
+                for _ in range(40):
+                    ais = [rnd() * pi ** rng.choice([0, 1]) for _ in range(2)]
+                    ais += [rnd() * pi ** rng.choice([1, 1, 2, 3]) for _ in range(3)]
+                    if rng.random() < 0.15:
+                        ais[0] = ais[1] = ais[3] = K(0)
+                    try:
+                        E = Curve(K, *ais).transform(K(1), rnd(), rnd(), rnd())
+                    except ValueError:
+                        continue
+                    cleared = rng.random() < 0.3
+                    if cleared:
+                        E = E.transform(pi ** rng.randint(1, 2), rnd() / pi, rnd(), rnd() / pi)
+                    try:
+                        ld = tate_local_data(E, pr)
+                    except ValueError as exc:  # the In* defect: the walk raises alike
+                        with pytest.raises(type(exc)):
+                            tate_module._walk(*tate_module._clear(E, pr), pr)
+                        continue
+                    n_curves += 1
+                    matches_walk(ld, E, pr)
+                    if ld.is_multiplicative:
+                        key = (pr.kind, cleared)
+                        seen[key] = seen.get(key, 0) + 1
+                    if not E.c4:
+                        seen["c4=0"] = seen.get("c4=0", 0) + 1
+    assert n_curves >= 2000
+    for kind in ("rational", "split", "inert", "ramified"):
+        assert seen.get((kind, False), 0) >= 20 and seen.get((kind, True), 0) >= 5, (kind, seen)
+    assert seen["c4=0"] >= 100
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("a2, split", [(2, True), (3, False)])
+def test_multiplicative_tamagawa_numbers(matches_walk, n, a2, split):
+    # y^2 = x^3 + a2 x^2 + 7^n: a node at (0,0) mod 7 with tangent slopes
+    # +-sqrt(a2), and v(disc) = n. Split In has c = n; non-split In has the
+    # components 0 and, for even n, n/2 rational
+    E = curve_from_rational(Q, [0, a2, 0, 0, 7 ** n])
+    pr = primes_above(Q, 7)[0]
+    ld = tate_local_data(E, pr)
+    assert (ld.kodaira, ld.split, ld.c) == (f"I{n}", split, n if split else 2 - n % 2)
+    matches_walk(ld, E, pr)
+
+
+def test_multiplicative_route_walks_only_when_the_model_is_read(monkeypatch, matches_walk):
+    E = curve_from_rational(Q, [0, -1, 1, -10, -20])  # I5 split at 11
+    pr = primes_above(Q, 11)[0]
+
+    def no_walk(*args):
+        raise AssertionError("walked to the singular point")
+
+    monkeypatch.setattr(tate_module, "_singular_point", no_walk)
+    ld = tate_local_data(E, pr)
+    assert (ld.kodaira, ld.c, ld.split, ld.vdisc, ld.vu, ld.f) == ("I5", 5, True, 5, 0, 1)
+    with pytest.raises(AssertionError, match="walked"):
+        ld.curve_min
+    monkeypatch.undo()
+    matches_walk(ld, E, pr)
+
+
+@pytest.mark.parametrize("ainvs, ell, kodaira", [
+    ((1, 0, 1, 4, -6), 2, "I6"),          # 14a1: multiplicative at 2
+    ((0, -1, 1, -10, -20), 3, "I0"),      # 11a1: good at 3
+    ((0, 0, 0, 0, 1), 3, "III"),          # 36a1: additive at 3
+])
+def test_other_places_build_the_model_eagerly(monkeypatch, matches_walk, ainvs, ell, kodaira):
+    E = curve_from_rational(Q, ainvs)
+    pr = primes_above(Q, ell)[0]
+    ld = tate_local_data(E, pr)
+
+    def no_walk(*args):
+        raise AssertionError("walked on first read")
+
+    monkeypatch.setattr(tate_module, "_walk", no_walk)
+    monkeypatch.setattr(Curve, "transform", no_walk)
+    assert ld.kodaira == kodaira
+    assert ld.curve_min.ainvs and ld.urst
+    monkeypatch.undo()
+    matches_walk(ld, E, pr)
+
+
+def test_lazy_model_checks_the_walk_against_the_invariants():
+    E = curve_from_rational(Q, [0, -1, 1, -10, -20])  # I5 split at 11
+    pr = primes_above(Q, 11)[0]
+    ld = tate_local_data(E, pr)
+    ld.c = 1
+    with pytest.raises(RuntimeError, match=r"at \(11\): the walk and the invariants"):
+        ld.curve_min
