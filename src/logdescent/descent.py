@@ -56,10 +56,9 @@ class DescentContext:
 
     def _classify(self) -> list[PlaceClassification]:
         K = self.field
-        supp: dict = {}
-        for x in (self.E.disc, self.Eprime.disc, K(self.p)):
-            for pr in prime_divisors(K, x):
-                supp[pr] = True
+        supp = set(primes_above(K, self.p))
+        for x in (self.E.disc, self.Eprime.disc):
+            supp.update(prime_divisors(K, x))
         z2_phi = K(self.p * self.p) / self.phihat.z_squared
         return [classify_place(self.E, self.Eprime, z2_phi, pr, self.p)
                 for pr in sorted(supp, key=lambda q: q.sort_key())]
@@ -68,15 +67,16 @@ class DescentContext:
         fails = []
         p = self.p
         for c in self.classifications:
-            for ld in (c.ld_E, c.ld_E2):
+            for name, ld in (("E", c.ld_E), ("E'", c.ld_E2)):
                 if p == 3 and ld.kodaira in ("IV", "IV*"):
-                    fails.append(f"Hyp 4: fibre of type {ld.kodaira} at {c.prime}")
+                    fails.append(f"Hyp 4: {name} has a fibre of type {ld.kodaira} "
+                                 f"at {c.prime}")
                 if not ld.is_good and not ld.is_multiplicative and ld.c % p == 0:
-                    fails.append(f"Hyp 4: Tamagawa number divisible by {p} at {c.prime}")
+                    fails.append(f"Hyp 4: {name} has Tamagawa number divisible by {p} "
+                                 f"at {c.prime}")
             if c.direction == "mixed":
                 fails.append(f"Hyp 5: place {c.prime} above {p} neither forward nor backward")
-            if c.direction == "backward" and c.prime.val(self.field(p)) > 0 \
-                    and local_mu_p_dim(c.prime, p):
+            if c.direction == "backward" and c.prime.ell == p and local_mu_p_dim(c.prime, p):
                 fails.append(f"Hyp 5: backward place {c.prime} above {p} with mu_p in K_v")
         return fails
 
@@ -102,6 +102,11 @@ class DescentContext:
     def torsion(self) -> LogPicTorsion:
         return self.logpic_torsion
 
+    @cached_property
+    def kernel_points(self) -> frozenset[Point]:
+        """<P> = ker(phihat), the p multiples of P."""
+        return frozenset(k * self.P for k in range(self.p))
+
 
 # -- coordinates on H^1(U_1, mu_p) ----------------------------------------
 
@@ -114,7 +119,6 @@ class H1Coordinates:
     CAP = 4000
 
     def __init__(self, basis: FieldSelmerBasis):
-        self.basis = basis
         self.field = basis.field
         self.p = basis.p
         self.gens = basis.gens
@@ -175,7 +179,6 @@ class H1Coordinates:
 class SelmerGroup:
     ctx: DescentContext
     h1: FieldSelmerBasis
-    local_groups: list
     matrix: list[list[int]]        # one row per h1 generator
     kernel: list[list[int]]        # exponent vectors cutting out Sel^phi
 
@@ -221,7 +224,7 @@ def selmer_phi(ctx: DescentContext) -> SelmerGroup:
         ncol = len(rows[0])
         mat = [[rows[i][j] for i in range(len(rows))] for j in range(ncol)]
         kernel = fp_kernel(mat, p, ncols=len(rows))
-    return SelmerGroup(ctx, h1, lugs, rows, kernel)
+    return SelmerGroup(ctx, h1, rows, kernel)
 
 
 def selmer_phihat_dim(ctx: DescentContext, sel: SelmerGroup) -> int:
@@ -230,7 +233,7 @@ def selmer_phihat_dim(ctx: DescentContext, sel: SelmerGroup) -> int:
     p = ctx.p
     nv_sum = 0
     for pr in ctx.S2:
-        nv_sum += pr.e * pr.f if pr.val(ctx.field(p)) > 0 else 1
+        nv_sum += pr.e * pr.f if pr.ell == p else 1
     diff = (len(ctx.S1) + ctx.field.infinite_places() - nv_sum
             + ctx.field.mu_p_dim(p) - 1)
     d = sel.dim - diff
@@ -290,15 +293,6 @@ def miller(P: Point, p: int, X: Point) -> FieldElement:
     return f
 
 
-def _in_kernel_span(ctx: DescentContext, Q: Point) -> bool:
-    V = ctx.Eprime.zero()
-    for _ in range(ctx.p):
-        if Q == V:
-            return True
-        V = V + ctx.P
-    return False
-
-
 class KummerMap:
     """kappa: E'(K)/phi(E(K)) -> Sel^phi subset K^*/p, through the function
     f with divisor p(P) - p(O): kappa(Q) = f(Q) / gamma where the constant
@@ -321,7 +315,7 @@ class KummerMap:
         A = Q
         for _ in range(2 * self.ctx.p):
             B = A + Q
-            if _in_kernel_span(self.ctx, B) or _in_kernel_span(self.ctx, A + B):
+            if B in self.ctx.kernel_points or A + B in self.ctx.kernel_points:
                 A = B
                 continue
             self._gamma_parts = (self._f(A), self._f(B), self._f(A + B))
@@ -330,7 +324,7 @@ class KummerMap:
 
     def representative(self, Q: Point) -> FieldElement:
         """A K^* representative of kappa(Q) for Q outside <P>."""
-        if _in_kernel_span(self.ctx, Q):
+        if Q in self.ctx.kernel_points:
             raise ValueError("direct evaluation needs Q outside the kernel span")
         self._gamma_from(Q)
         fa, fb, fab = self._gamma_parts
@@ -343,8 +337,8 @@ class KummerMap:
         p = self.ctx.p
         if Q.is_zero():
             return [0] * self.h1.dim
-        if _in_kernel_span(self.ctx, Q):
-            if aux is None or _in_kernel_span(self.ctx, aux):
+        if Q in self.ctx.kernel_points:
+            if aux is None or aux in self.ctx.kernel_points:
                 raise ValueError("kappa on a kernel multiple needs an auxiliary point")
             a = self.coords(Q + aux)
             b = self.coords(aux)
@@ -405,8 +399,7 @@ class DescentReport:
     sha_phi: ShaBound
 
 
-def descent_report(ctx: DescentContext, points: list[Point],
-                   aux: Point | None = None) -> DescentReport:
+def descent_report(ctx: DescentContext, points: list[Point]) -> DescentReport:
     """Descent data assuming the given points, together with P, generate
     E'(K)/phi(E(K))."""
     ctx.require_hypotheses()
@@ -418,23 +411,12 @@ def descent_report(ctx: DescentContext, points: list[Point],
     psi_rows = [T.vector(D) for D in psi_vals]
     psi_rank = fp_rank(psi_rows, p) if psi_rows and T.dim else 0
     km = KummerMap(ctx)
-    kappa_rows = []
-    for Q in pts:
-        a = aux
-        if a is None:
-            others = [R for R in points if not _in_kernel_span(ctx, R)]
-            a = others[0] if others else None
-        if _in_kernel_span(ctx, Q) and a is None:
-            # kappa(P) is not directly evaluable without a second point;
-            # psi(P) != 0 already certifies kappa(P) != 0 (Lemma: S_1 != {})
-            if any(c % p for c in T.vector(psi(ctx, Q))):
-                kappa_rows.append(None)  # nonzero but unknown coordinates
-            continue
-        kappa_rows.append(km.coords(Q, aux=a))
-    known = [r for r in kappa_rows if r is not None]
-    kappa_rank = fp_rank(known, p) if known and known[0] else 0
-    # a row marked None is nonzero with unknown coordinates; it can only
-    # increase the rank when psi separates it, which psi_rank accounts for
+    aux = next((R for R in points if R not in ctx.kernel_points), None)
+    # without a point outside <P>, kappa on <P> is not directly evaluable;
+    # psi = rho o kappa, so taking the max with psi_rank still counts kappa(P)
+    kappa_rows = [km.coords(Q, aux=aux) for Q in pts
+                  if aux is not None or Q not in ctx.kernel_points]
+    kappa_rank = fp_rank(kappa_rows, p) if kappa_rows and kappa_rows[0] else 0
     kappa_rank = max(kappa_rank, psi_rank)
     sel_rows = [T.vector(psi_sel(ctx, x)) for x in sel.basis_elements()]
     sel_rank = fp_rank(sel_rows, p) if sel_rows and T.dim else 0

@@ -212,7 +212,7 @@ def classify_place(E: Curve, E2: Curve, z2_phi: FieldElement,
     scaling is a_v(phihat) = v(p) - a_v(phi)."""
     ld = tate(E, pr)
     ld2 = tate(E2, pr)
-    vp = pr.val(E.field(p))
+    vp = pr.e if pr.ell == p else 0
     a_phi = neron_scaling(z2_phi, ld, ld2)
     a_dual = vp - a_phi
     if a_phi < 0 or a_dual < 0:

@@ -17,7 +17,7 @@ from .qfield import FieldElement, PrimeIdeal, ResidueField, reduce_mod
 
 def local_mu_p_dim(pr: PrimeIdeal, p: int) -> int:
     """dim of mu_p(K_v) over F_p: 1 iff [K_v(mu_p):K_v] = 1."""
-    if pr.val(pr.field(p)) == 0:
+    if pr.ell != p:
         return 1 if (pr.norm() - 1) % p == 0 else 0
     # v | p: Q_p(mu_p)/Q_p is totally ramified of degree p-1, so only p = 3
     # with e = 2 is possible, and then K_v = Q_3(sqrt(m)) contains mu_3 iff
@@ -33,7 +33,7 @@ class LocalUnitGroup:
         self.p = p
         self.k = ResidueField(pr)
         self.q = self.k.q
-        self.vp = pr.val(pr.field(p))
+        self.vp = pr.e if pr.ell == p else 0
         if self.vp == 0:
             self.dim = local_mu_p_dim(pr, p)
         elif pr.e < p - 1:

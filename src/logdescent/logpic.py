@@ -60,12 +60,12 @@ class LogDivisor:
 
 
 class LogPic:
-    """logPic(X, S) with X = Spec O_K and given multiplicities m_v."""
+    """logPic(X, S) with X = Spec O_K, where S is the set of places with a
+    multiplicity m_v > 1; no place is removed."""
 
-    def __init__(self, field: QuadField, mults: dict[PrimeIdeal, int], S=()):
+    def __init__(self, field: QuadField, mults: dict[PrimeIdeal, int]):
         self.field = field
-        self.S = list(S)
-        self.mults = {p: m for p, m in mults.items() if m > 1 and p not in self.S}
+        self.mults = {p: m for p, m in mults.items() if m > 1}
         self.places = sorted(self.mults, key=lambda p: p.sort_key())
         self.cg = class_group(field)
         nv = len(self.places)
@@ -86,14 +86,6 @@ class LogPic:
             vec = [0] * (nv + ncg)
             vec[nv + i] = d
             rels.append(vec)
-        for pr in self.S:
-            if not ncg:
-                break
-            t = self.cg.dlog_prime(pr)
-            vec = [0] * (nv + ncg)
-            for j in range(ncg):
-                vec[nv + j] = t[j]
-            rels.append(vec)
         self.coker = Cokernel(nv + ncg, rels)
         if self.coker.order == 0:
             raise RuntimeError("the presentation of logPic is not finite")
@@ -104,8 +96,6 @@ class LogPic:
         x = [0] * (nv + ncg)
         clvec = [0] * ncg
         for p, a in D.coeffs.items():
-            if p in self.S:
-                continue
             if p in self.mults:
                 m = self.mults[p]
                 num = a * m
@@ -172,12 +162,12 @@ class LogPic:
         return out
 
     def project_to_s_class_group(self, D: LogDivisor) -> tuple[int, ...]:
-        """Image under logPic(X, Z) -> Cl(O_{K,Z}): drop coefficients at the
-        places of Z = mults + S and map the integral rest to its class."""
+        """Image under logPic(X, S) -> Cl(O_{K,S}): drop coefficients at the
+        places of S and map the integral rest to its class."""
         ncg = self.cg.coker.ngens
         acc = [0] * ncg
         for pr, a in D.coeffs.items():
-            if pr in self.mults or pr in self.S:
+            if pr in self.mults:
                 continue
             if a.denominator != 1:
                 raise ValueError(f"fractional coefficient {a} off the bad set at {pr}")
@@ -188,7 +178,7 @@ class LogPic:
 
     @cached_property
     def scl_full(self) -> Cokernel:
-        return s_class_group(self.cg, self.places + self.S)
+        return s_class_group(self.cg, self.places)
 
 
 class LogPicTorsion:

@@ -108,7 +108,7 @@ def monodromy_pairing(ld: LocalData, Q: Point, R: Point, source: Curve) -> Fract
     return c - (c.numerator // c.denominator)
 
 
-def pairing_group(E: Curve, S=()) -> LogPic:
+def pairing_group(E: Curve) -> LogPic:
     """The group where values of the pairing on E live."""
     mults = {pr: tate(E, pr).comp_order for pr in bad_places(E)}
-    return LogPic(E.field, mults, S=S)
+    return LogPic(E.field, mults)

@@ -24,10 +24,6 @@ from functools import cached_property
 from .ellcurve import Curve, Point, coordinate_change, map_coords
 from .qfield import PrimeIdeal, ResidueField, hensel_root, invert_mod, reduce_mod
 
-NCOMP = {"I0": 1, "II": 1, "III": 2, "IV": 3, "I0*": 5, "IV*": 7, "III*": 8, "II*": 9}
-COMP_ORDER = {"I0": 1, "II": 1, "III": 2, "IV": 3, "I0*": 4, "IV*": 3, "III*": 2, "II*": 1}
-
-
 @dataclass
 class LocalData:
     """Tate's algorithm at one place: the reduction data, and the minimal

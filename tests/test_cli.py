@@ -284,6 +284,18 @@ def test_additive_place_above_p_is_a_hypothesis_failure(capsys):
     assert "Traceback" not in err and "Neron" not in err
 
 
+def test_hypothesis_failures_name_the_curve_once_each(capsys):
+    # both E and E' have a fibre of type IV above 3: one Hyp 4 line each
+    code, _, err = _run(capsys, ["selmer", "--D", "-78", "--a1", "1", "--a2", "-1",
+                                 "--a3", "1", "--a4", "1", "--a6", "-1",
+                                 "--p", "3", "--P", "1,0"])
+    assert code == 2
+    lines = err.strip().removeprefix("hypothesis failure: ").split("; ")
+    assert len(lines) == len(set(lines)) == 3
+    assert lines[:2] == ["Hyp 4: E has a fibre of type IV at (3,sqrt(-78))",
+                         "Hyp 4: E' has a fibre of type IV at (3,sqrt(-78))"]
+
+
 def test_out_file(tmp_path, capsys):
     dest = tmp_path / "out.json"
     code, out, _ = _run(capsys, ["selmer", *ARGS_11A_47, "--format", "json",

@@ -394,6 +394,30 @@ def test_descent_report_sqrt_2_kernel_of_psi():
     assert rep.sha_phi.upper == 0
 
 
+def test_kernel_points_are_the_multiples_of_P():
+    ctx = _ctx_11a(-47)
+    P = ctx.P
+    assert ctx.kernel_points == {k * P for k in range(5)}
+    assert len(ctx.kernel_points) == 5 and ctx.Eprime.zero() in ctx.kernel_points
+
+
+@pytest.mark.parametrize("multiples, psi_coeffs", [([], [-4]), ([2], [-4, -3])])
+def test_descent_report_without_a_point_outside_the_kernel(multiples, psi_coeffs):
+    # kappa on <P> is not evaluated without an auxiliary point; psi(P) != 0
+    # still counts kappa(P), so kappa_rank == psi_rank
+    ctx = _ctx_11a(-47)
+    rep = descent_report(ctx, [k * ctx.P for k in multiples])
+    assert rep.kappa_rank == rep.psi_rank == 1
+    assert rep.sel.dim == 2 and rep.sel_phihat_dim == 1
+    assert rep.sel_p_dim == 2 and rep.logpic_dim == 2
+    p11 = primes_above(ctx.field, 11)[0]
+    assert rep.psi_values == [LogDivisor(ctx.field, {p11: Fraction(a, 5)})
+                              for a in psi_coeffs]
+    assert rep.ker_psi_dim == 0
+    assert rep.ker_psi_sel_dim == 0 and rep.coker_psi_sel_dim == 0
+    assert rep.sha_phi.lower == 0 and rep.sha_phi.upper == 1
+
+
 def test_quadratic_point_search_needs_a_rational_curve():
     ctx = _ctx_11a(-47)
     with pytest.raises(ValueError, match="needs a curve over Q"):

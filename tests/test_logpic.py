@@ -47,19 +47,6 @@ def test_group_order_extension_of_class_group():
     assert G.coker.p_torsion_dim(5) in (1, 2)
 
 
-def test_S_places_are_removed():
-    K = make_field(-47)
-    p2 = primes_above(K, 2)[0]
-    p3 = primes_above(K, 3)[0]
-    cg = class_group(K)
-    assert any(c != 0 for c in cg.dlog_prime(p3))
-    # p2 generates Cl, so Cl_S is trivial for S = {p2}
-    G = LogPic(K, {p2: 5}, S=[p2])
-    assert G.order() == 1
-    assert G.is_zero(LogDivisor(K, {p3: Fraction(1)}))
-    assert G.is_zero(LogDivisor(K, {p2: Fraction(1, 5)}))
-
-
 def test_span_dim():
     K = make_field(-47)
     p2 = primes_above(K, 2)[0]
