@@ -83,9 +83,15 @@ class Curve:
     def point(self, x, y) -> "Point":
         x = x if isinstance(x, FieldElement) else self.field(x)
         y = y if isinstance(y, FieldElement) else self.field(y)
-        if not self.is_on(x, y):
-            raise ValueError(f"({x}, {y}) is not on {self}")
-        return Point(self, x, y)
+        P = Point(self, x, y)
+        self.check(P)
+        return P
+
+    def check(self, P: "Point") -> None:
+        """Raise ValueError unless P is O or its coordinates satisfy this
+        model."""
+        if not P.is_zero() and not self.is_on(P.x, P.y):
+            raise ValueError(f"({P.x}, {P.y}) is not on {self}")
 
     def base_change(self, field: QuadField) -> "Curve":
         """The same model read over a quadratic extension of Q."""

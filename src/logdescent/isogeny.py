@@ -247,6 +247,7 @@ def tate(E: Curve, pr: PrimeIdeal) -> LocalData:
     from .tate import tate_local_data
 
     key = (E, pr)
-    if key not in _TATE_CACHE:
-        _TATE_CACHE[key] = tate_local_data(E, pr)
-    return _TATE_CACHE[key]
+    ld = _TATE_CACHE.get(key)
+    if ld is None:
+        ld = _TATE_CACHE[key] = tate_local_data(E, pr)
+    return ld

@@ -78,15 +78,20 @@ def log_pairing(E: Curve, Q: Point, R: Point) -> LogDivisor:
     K = E.field
     if Q.is_zero() or R.is_zero():
         return LogDivisor(K, {})
+    # each point's one on-curve check: every curve_min has the equation
+    # F_min(x', y') = u^-6 F_E(x, y), so the images below need none
+    E.check(Q)
+    E.check(R)
     S = Q + R
+    E.check(S)
     # every place with e(O) or fibral contributions divides the model disc
     disc_places = {p for p, e in prime_divisors(K, E.disc).items() if e > 0}
     places = disc_places | _denominator_places(K, [Q, R, S])
     coeffs = {}
     for pr in sorted(places, key=lambda p: p.sort_key()):
         ld = tate(E, pr)
-        # each point mapped onto curve_min, with its on-curve check, once
-        Sm, Qm, Rm = (ld.map_point(P, E) for P in (S, Q, R))
+        # each point mapped onto curve_min once, its check done above
+        Sm, Qm, Rm = (ld._image(P) for P in (S, Q, R))
         eS = Fraction(ld.vu) if S.is_zero() else _e_entry(ld, Sm)
         val = eS - _e_entry(ld, Qm) - _e_entry(ld, Rm) + Fraction(ld.vu)
         if not ld.is_good:

@@ -471,7 +471,7 @@ class PrimeIdeal:
         if isinstance(x, FieldElement):
             if not x:
                 return INF
-            if x.field != self.field and self.kind == "rational":
+            if self.kind == "rational" and x.field != self.field:
                 raise ValueError("field mismatch")
         else:
             x = Fraction(x)

@@ -104,11 +104,19 @@ class LocalData:
 
     def map_point(self, P: Point, source: Curve) -> Point:
         """P, a point of source (the model this data was computed for), on
-        curve_min = source.transform(*urst). Raises ValueError if the image
-        is not on curve_min, i.e. P is not a point of source."""
+        curve_min = source.transform(*urst). The on-curve check runs here,
+        once, on source: it raises ValueError if P is not a point of source.
+        The image is then on curve_min, since the change of model gives
+        F_min(x', y') = u^-6 F_source(x, y)."""
+        source.check(P)
+        return self._image(P)
+
+    def _image(self, P: Point) -> Point:
+        """map_point of P, already checked on the source model, without
+        evaluating the equation of curve_min."""
         if P.is_zero():
             return self.curve_min.zero()
-        return self.curve_min.point(*map_coords(P.x, P.y, self._to_min))
+        return Point(self.curve_min, *map_coords(P.x, P.y, self._to_min))
 
     @cached_property
     def node(self) -> tuple:
@@ -193,8 +201,12 @@ def _clear(E: Curve, pr: PrimeIdeal) -> tuple:
     """(E', urst): E scaled by 1/pi until it is integral at pr, and the
     transform from E to E'."""
     K = E.field
-    v = pr.val
     urst = (K.one(), K.zero(), K.zero(), K.zero())
+    # (A + B sqrt(m))/D is integral at every prime above ell when ell does
+    # not divide D
+    if all(a.D % pr.ell for a in E.ainvs):
+        return E, urst
+    v = pr.val
     while any(v(a) < 0 for a in E.ainvs):
         step = (pr.uniformizer().inverse(), K.zero(), K.zero(), K.zero())
         E = E.transform(*step)

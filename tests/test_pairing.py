@@ -3,19 +3,22 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from logdescent.ellcurve import Curve
+from logdescent.ellcurve import Curve, Point
 from logdescent.isogeny import tate
 from logdescent.logpic import LogDivisor
 from logdescent.pairing import (
+    _denominator_places,
     bad_places,
     fibral_coefficient,
     log_pairing,
     monodromy_pairing,
     pairing_group,
 )
-from logdescent.qfield import make_field, primes_above
-from logdescent.tate import LocalData, component_index
+from logdescent.qfield import make_field, prime_divisors, primes_above
+from logdescent.tate import LocalData, component_index, e_entry
 
 
 def _intersection_matrix(edges, nc):
@@ -150,16 +153,72 @@ def test_quadratic_example_pairing_values(worked_curves):
 def test_log_pairing_maps_each_point_once_per_place(worked_curves, monkeypatch):
     E, P, (Q,) = worked_curves["158"]
     maps = Counter()
-    map_point = LocalData.map_point
+    image = LocalData._image
 
-    def counted(ld, pt, source):
+    def counted(ld, pt):
         maps[ld.prime, pt] += 1
-        return map_point(ld, pt, source)
-    monkeypatch.setattr(LocalData, "map_point", counted)
+        return image(ld, pt)
+    monkeypatch.setattr(LocalData, "_image", counted)
     log_pairing(E, P, Q)
     # Q, R and S = Q + R at every place of the sum
     assert len(maps) >= 3 * len(bad_places(E))
     assert max(maps.values()) == 1
+
+
+@pytest.mark.parametrize("label", ["11a1", "158", "35a"])
+def test_log_pairing_evaluates_the_equation_at_most_three_times(worked_curves, monkeypatch, label):
+    # Q, R and Q + R are checked on E once each, whatever the number of places
+    E, P, gens = worked_curves[label]
+    Q, R = gens[0], gens[0] * 2 + P
+    calls = Counter()
+    is_on = Curve.is_on
+
+    def counted(curve, x, y):
+        calls[curve] += 1
+        return is_on(curve, x, y)
+    monkeypatch.setattr(Curve, "is_on", counted)
+    log_pairing(E, Q, R)
+    assert sum(calls.values()) <= 3
+    places = {p for p, e in prime_divisors(E.field, E.disc).items() if e > 0}
+    assert len(places | _denominator_places(E.field, [Q, R, Q + R])) >= 3
+
+
+def test_log_pairing_rejects_a_point_off_the_curve(worked_curves):
+    for E, P, gens in worked_curves.values():
+        off = Point(E, P.x, P.y + 1)  # the raw constructor checks nothing
+        for Q, R in ((off, gens[0]), (gens[0], off), (off, off)):
+            with pytest.raises(ValueError, match="is not on"):
+                log_pairing(E, Q, R)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(["11a1", "158", "35a"]),
+       st.lists(st.integers(-2, 2), min_size=4, max_size=4))
+@example("158", [1, 0, 0, 1])
+@example("11a1", [1, 1, -1, 2])
+def test_log_pairing_matches_the_checked_path(worked_curves, label, coeffs):
+    # oracle: at every place, the coefficient of <Q,R> for Q = aQ' + bP and
+    # R = cQ' + dP, read off the public functions that map each point with
+    # its own check
+    E, P, (G, *_) = worked_curves[label]
+    a, b, c, d = coeffs
+    Q, R = G * a + P * b, G * c + P * d
+    val = log_pairing(E, Q, R)
+    if Q.is_zero() or R.is_zero():
+        assert val.coeffs == {}
+        return
+    S = Q + R
+    K = E.field
+    places = {p for p, e in prime_divisors(K, E.disc).items() if e > 0}
+    places |= _denominator_places(K, [Q, R, S])
+    assert set(val.coeffs) <= places
+    for pr in places:
+        ld = tate(E, pr)
+        want = (e_entry(ld, S, E) - e_entry(ld, Q, E) - e_entry(ld, R, E)
+                + Fraction(ld.vu if S.is_zero() else 0) + ld.vu)
+        if not ld.is_good:
+            want -= fibral_coefficient(ld, component_index(ld, Q, E), component_index(ld, R, E))
+        assert val.coeffs.get(pr, 0) == want, (label, coeffs, pr)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(

@@ -9,7 +9,7 @@ import logdescent.tate as tate_module
 from logdescent.ellcurve import Curve, curve_from_rational
 from logdescent.isogeny import tate
 from logdescent.pairing import bad_places
-from logdescent.qfield import ResidueField, make_field, primes_above
+from logdescent.qfield import FieldElement, ResidueField, make_field, primes_above
 from logdescent.tate import component_index, e_entry, has_singular_reduction, tate_local_data
 
 Q = make_field(None)
@@ -463,3 +463,46 @@ def test_lazy_model_checks_the_walk_against_the_invariants():
     ld.c = 1
     with pytest.raises(RuntimeError, match=r"at \(11\): the walk and the invariants"):
         ld.curve_min
+
+
+def _clear_by_valuations(E, pr):
+    """_clear as a valuation loop: scale by 1/pi while some a-invariant has
+    v < 0 at pr."""
+    K = E.field
+    urst = (K.one(), K.zero(), K.zero(), K.zero())
+    while any(pr.val(a) < 0 for a in E.ainvs):
+        step = (pr.uniformizer().inverse(), K.zero(), K.zero(), K.zero())
+        E = E.transform(*step)
+        urst = tate_module._compose_urst(urst, step)
+    return E, urst
+
+
+def test_clear_matches_the_valuation_loop():
+    # oracle: _clear skips the valuations when ell divides no denominator D.
+    # With m = 1 mod 4, (A + B sqrt(m))/2 can be integral though 2 | D, and
+    # then the loop decides
+    rng = random.Random(19)
+    seen = {"skip": 0, "scaled": 0, "integral with ell | D": 0}
+    for m in (None, -1, -3, 5, -7, 2, -47, 13):
+        K = make_field(m)
+
+        def rnd():
+            D = rng.choice([1, 1, 2, 3, 4, 5, 6, 9, 10, 25, 49])
+            return FieldElement(K, rng.randint(-9, 9), rng.randint(-9, 9) if m else 0, D)
+        for _ in range(30):
+            try:
+                E = Curve(K, *(rnd() for _ in range(5)))
+            except ValueError:
+                continue
+            for ell in (2, 3, 5, 7):
+                for pr in primes_above(K, ell):
+                    got = tate_module._clear(E, pr)
+                    want = _clear_by_valuations(E, pr)
+                    assert got[0].ainvs == want[0].ainvs and got[1] == want[1], (E, pr)
+                    if all(a.D % ell for a in E.ainvs):
+                        seen["skip"] += 1
+                    elif got[0] is E:
+                        seen["integral with ell | D"] += 1
+                    else:
+                        seen["scaled"] += 1
+    assert min(seen.values()) >= 20, seen
