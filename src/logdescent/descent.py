@@ -21,9 +21,9 @@ from .linalg import fp_kernel, fp_rank, fp_solve
 from .localfield import LocalUnitGroup, local_mu_p_dim
 from .logpic import LogDivisor, LogPicTorsion
 from .ntheory import isprime, primerange
-from .pairing import log_pairing
+from .pairing import log_pairing, model_places
 from .qfield import (FieldElement, PrimeIdeal, QuadField, ResidueField,
-                     _squarefree_part, make_field, prime_divisors, primes_above)
+                     _squarefree_part, make_field, primes_above)
 
 
 class HypothesisError(Exception):
@@ -56,9 +56,7 @@ class DescentContext:
 
     def _classify(self) -> list[PlaceClassification]:
         K = self.field
-        supp = set(primes_above(K, self.p))
-        for x in (self.E.disc, self.Eprime.disc):
-            supp.update(prime_divisors(K, x))
+        supp = set(primes_above(K, self.p)) | model_places(self.E) | model_places(self.Eprime)
         z2_phi = K(self.p * self.p) / self.phihat.z_squared
         return [classify_place(self.E, self.Eprime, z2_phi, pr, self.p)
                 for pr in sorted(supp, key=lambda q: q.sort_key())]

@@ -12,6 +12,7 @@ coefficients at bad places modulo principal divisors.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .ellcurve import Curve, Point
@@ -19,14 +20,25 @@ from .isogeny import tate
 from .logpic import LogDivisor, LogPic
 from .ntheory import factorint
 from .qfield import PrimeIdeal, QuadField, prime_divisors, primes_above
-from .tate import LocalData, _component_index, _e_entry, component_index
+from .tate import LocalData, component_index, e_entry
+
+
+def model_places(E: Curve) -> set[PrimeIdeal]:
+    """The places where the given model may fail to be a good integral one:
+    the support of disc and the primes under the a-invariant denominators.
+    A model with poles can have bad reduction, or e(O) = v(u) != 0, where
+    v(disc) <= 0, so the support of disc alone is not enough."""
+    K = E.field
+    out = set(prime_divisors(K, E.disc))
+    for ell in factorint(math.lcm(*(a.integer_coords()[2] for a in E.ainvs))):
+        out.update(primes_above(K, ell))
+    return out
 
 
 def bad_places(E: Curve) -> list[PrimeIdeal]:
-    """Places where the given (integral) model has singular reduction."""
-    K = E.field
-    out = [p for p, e in prime_divisors(K, E.disc).items() if e > 0]
-    return sorted((p for p in out if not tate(E, p).is_good), key=lambda p: p.sort_key())
+    """Places where E has bad reduction, for any Weierstrass model of it."""
+    return sorted((p for p in model_places(E) if not tate(E, p).is_good),
+                  key=lambda p: p.sort_key())
 
 
 def fibral_coefficient(ld: LocalData, jq: int, jr: int) -> Fraction:
@@ -84,19 +96,18 @@ def log_pairing(E: Curve, Q: Point, R: Point) -> LogDivisor:
     E.check(R)
     S = Q + R
     E.check(S)
-    # every place with e(O) or fibral contributions divides the model disc
-    disc_places = {p for p, e in prime_divisors(K, E.disc).items() if e > 0}
-    places = disc_places | _denominator_places(K, [Q, R, S])
+    # every place with e(O) or fibral contributions is a model place
+    places = model_places(E) | _denominator_places(K, [Q, R, S])
     coeffs = {}
     for pr in sorted(places, key=lambda p: p.sort_key()):
         ld = tate(E, pr)
         # each point mapped onto curve_min once, its check done above
         Sm, Qm, Rm = (ld._image(P) for P in (S, Q, R))
-        eS = Fraction(ld.vu) if S.is_zero() else _e_entry(ld, Sm)
-        val = eS - _e_entry(ld, Qm) - _e_entry(ld, Rm) + Fraction(ld.vu)
+        eS = Fraction(ld.vu) if S.is_zero() else e_entry(ld, Sm)
+        val = eS - e_entry(ld, Qm) - e_entry(ld, Rm) + Fraction(ld.vu)
         if not ld.is_good:
-            jq = _component_index(ld, Qm)
-            jr = _component_index(ld, Rm)
+            jq = component_index(ld, Qm)
+            jr = component_index(ld, Rm)
             val -= fibral_coefficient(ld, jq, jr)
         if val:
             coeffs[pr] = val
@@ -107,8 +118,8 @@ def monodromy_pairing(ld: LocalData, Q: Point, R: Point, source: Curve) -> Fract
     """<Q,R> at one place with values in Q/Z, represented in [0, 1)."""
     if Q.is_zero() or R.is_zero() or ld.is_good:
         return Fraction(0)
-    jq = component_index(ld, Q, source)
-    jr = component_index(ld, R, source)
+    jq = component_index(ld, ld.map_point(Q, source))
+    jr = component_index(ld, ld.map_point(R, source))
     c = -fibral_coefficient(ld, jq, jr)
     return c - (c.numerator // c.denominator)
 

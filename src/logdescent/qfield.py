@@ -3,8 +3,11 @@
 Elements are (A + B*sqrt(m))/D with m the squarefree radicand and integers
 A, B, D, D > 0, gcd(A, B, D) = 1: each operation is integer arithmetic and one
 gcd (Cohen, GTM 138, 4.2). The rational coordinates a, b are read-only views.
-Primes are represented explicitly with their splitting data; valuations and
-residue maps are computed exactly (split primes via Hensel-lifted roots).
+Primes are represented explicitly with their splitting data; valuations are
+computed exactly (split primes via Hensel-lifted roots). One reduction,
+reduce_mod, takes every element integral at a prime to a representative mod a
+power of it, whatever its denominators away from that prime; the residue maps
+read off it.
 """
 
 from __future__ import annotations
@@ -655,28 +658,9 @@ class ResidueField:
         return [(a, b) for a in range(self.ell) for b in range(self.ell)]
 
     def reduce(self, x: FieldElement):
-        """Reduction of x (with val >= 0) to the residue field."""
-        pr = self.prime
-        if pr.val(x) < 0:
-            raise ValueError(f"element not integral at {pr}")
-        A, B, den = x.integer_coords()
-        k = _int_val(den, self.ell)
-        den_unit = den // self.ell ** k
-        if pr.kind == "split":
-            N = k + 1
-            mod = self.ell ** N
-            W = pr.omega_root_mod(N)
-            c = (A + B * W) % mod
-            c //= self.ell ** k
-            return (c * pow(den_unit, -1, self.ell)) % self.ell
-        if k:
-            # ell^k divides A + B*omega in O_K for non-split kinds
-            if A % self.ell ** k or B % self.ell ** k:
-                raise RuntimeError(f"{x} is integral at {pr} but its coordinates are not")
-            A //= self.ell ** k
-            B //= self.ell ** k
-        dinv = pow(den_unit, -1, self.ell)
-        A, B = (A * dinv) % self.ell, (B * dinv) % self.ell
+        """The residue of x, read off its representative reduce_mod(x, prime,
+        1); ValueError when x is not integral at the prime."""
+        A, B, _ = reduce_mod(x, self.prime, 1).integer_coords()
         if self.f == 2:
             return (A, B)
         return (A + B * self.prime.wbar) % self.ell
@@ -874,14 +858,28 @@ class ResidueField:
 
 
 def reduce_mod(x: FieldElement, prime: PrimeIdeal, N: int) -> FieldElement:
-    """A small representative of x modulo prime^N (x integral at prime).
+    """A representative y in O_K of x modulo prime^N: v(x - y) >= N.
 
-    Reduces integral-basis coordinates mod ell^N, which refines prime^N.
+    x may have any denominator as long as it is integral at prime; otherwise
+    ValueError. The test reads the integral-basis coordinates (A + B*omega)/den,
+    gcd(A, B, den) = 1. When ell does not divide den, they are reduced mod
+    ell^N, which refines prime^N. When ell^k exactly divides den, k > 0, x is
+    integral only at a split prime, whose completion is Z_ell: there omega goes
+    to its root mod ell^(N+k), and ell^k is divided out of the image.
     """
     A, B, den = x.integer_coords()
-    if _int_val(den, prime.ell):
-        raise ValueError("denominator not invertible for coefficient reduction")
-    mod = prime.ell ** N
+    ell = prime.ell
+    k = _int_val(den, ell)
+    if k:
+        # at a non-split prime ell^k would have to divide A and B
+        if prime.kind != "split":
+            raise ValueError(f"element not integral at {prime}")
+        lk = ell ** k
+        A = (A + B * prime.omega_root_mod(N + k)) % (lk * ell ** N)
+        if A % lk:
+            raise ValueError(f"element not integral at {prime}")
+        A, B, den = A // lk, 0, den // lk
+    mod = ell ** N
     dinv = pow(den % mod, -1, mod)
     return prime.field.from_omega((A * dinv) % mod, (B * dinv) % mod)
 

@@ -351,13 +351,9 @@ def _walk(E: Curve, urst: tuple, pr: PrimeIdeal) -> LocalData:
 # -- points on the special fiber ------------------------------------------
 
 
-def e_entry(ld: LocalData, P: Point, source: Curve):
-    """e_v(P) = -(1/2) min(v(x), 0) on the minimal model; Fraction-valued."""
-    return _e_entry(ld, ld.map_point(P, source))
-
-
-def _e_entry(ld: LocalData, Pm: Point):
-    """e_entry of Pm, a point already on curve_min."""
+def e_entry(ld: LocalData, Pm: Point):
+    """e_v(Pm) = -(1/2) min(v(x), 0) for Pm a point of curve_min (see
+    LocalData.map_point); Fraction-valued."""
     if Pm.is_zero():
         return Fraction(0)
     return Fraction(-min(ld.prime.val(Pm.x), 0), 2)
@@ -367,10 +363,6 @@ def _at_singular_point(ld: LocalData, Pm: Point) -> bool:
     """Whether Pm, a point of curve_min, reduces to the singular point (0,0)."""
     v = ld.prime.val
     return v(Pm.x) >= 1 and v(Pm.y) >= 1
-
-
-def has_singular_reduction(ld: LocalData, P: Point, source: Curve) -> bool:
-    return not P.is_zero() and _at_singular_point(ld, ld.map_point(P, source))
 
 
 def _refine_node(E: Curve, pr: PrimeIdeal, N: int):
@@ -400,8 +392,9 @@ def _refine_node(E: Curve, pr: PrimeIdeal, N: int):
     return x, y
 
 
-def component_index(ld: LocalData, P: Point, source: Curve) -> int:
-    """Index of the component of the special fiber hit by P.
+def component_index(ld: LocalData, Pm: Point) -> int:
+    """Index of the component of the special fiber hit by Pm, a point of
+    curve_min (see LocalData.map_point).
 
     For In the cycle of components is numbered 0..n-1 with a fixed
     orientation (smaller tangent slope first); the map to Z/n is a
@@ -409,11 +402,6 @@ def component_index(ld: LocalData, P: Point, source: Curve) -> int:
     tables: In*: 1 = near end, 2/3 = far ends; IV/IV*: 1/2 the two
     branches; III/III*: 1 the non-identity end; I0*: 1..3 the legs.
     """
-    return _component_index(ld, ld.map_point(P, source))
-
-
-def _component_index(ld: LocalData, Pm: Point) -> int:
-    """component_index of Pm, a point already on curve_min."""
     if Pm.is_zero() or not _at_singular_point(ld, Pm):
         return 0
     v = ld.prime.val

@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import logdescent
 from logdescent.cli import main
+from logdescent.qfield import format_element
 
 ARGS_11A_47 = ["--D", "-47", "--a2", "-1", "--a3", "1", "--a4", "-10",
                "--a6", "-20", "--p", "5", "--P", "5,5"]
@@ -311,3 +317,72 @@ def test_out_file(tmp_path, capsys):
     code, out, _ = _run(capsys, search)
     assert code == 0 and out
     assert lines.read_text() == out
+
+
+# pairings on models with denominators, each a scaling x = u^2 x', y = u^3 y'
+# of a curve: the first reduces elements with 2 in the denominator at a split
+# prime above 2, and the other two have a bad place where v(disc) <= 0
+SCALED_PAIRINGS = [
+    # 158 with u = 2: the README pairing
+    (["--D", "-79", "--a1", "1/2", "--a2", "1/4", "--a3", "1/8", "--a4=-105/4",
+      "--a6", "3109/64", "--point", "13/4,-15/8", "--point", "13/4,-15/8"],
+     "<Q,R>^log = 4/5 (2,1/2+1/2*sqrt(-79)) + 4/5 (2,-1/2+1/2*sqrt(-79))"),
+    # [0, -2, 0, -40, 0] with u = 2: v_2(disc) = 0, yet the reduction is I2*
+    (["--a2=-1/2", "--a4=-5/2", "--point", "0,0", "--point", "0,0"],
+     "on cyclic factors [2, 4]"),
+    # 35a with u = 5: v_5(disc) < 0, yet the reduction at 5 is bad
+    (["--D", "2", "--a2", "1/25", "--a3", "1/125", "--a4", "9/625", "--a6", "1/15625",
+      "--point", "1/25,3/125", "--point", "9/50,-1/250+7/100*sqrt(2)"],
+     "on cyclic factors [1, 3, 3, 3]"),
+]
+
+
+@pytest.mark.parametrize("args, line", SCALED_PAIRINGS)
+def test_pairing_on_a_model_with_denominators(capsys, args, line):
+    code, out, err = _run(capsys, ["pairing", *args])
+    assert code == 0 and line in out and "Traceback" not in err
+    proc = _run_optimized(["pairing", *args])
+    assert proc.returncode == 0, proc.stderr
+    assert line in proc.stdout and "Traceback" not in proc.stderr
+
+
+_rational = st.tuples(st.integers(-3, 3), st.sampled_from([1, 2, 3, 5]))
+
+
+def _model_argvs(E, P, G, urst):
+    """The five commands on E in the model given by urst, with the kernel
+    point P, of order p = 3 or 5, and G a point of infinite order."""
+    K = E.field
+    urst = [K(Fraction(a, den)) for a, den in urst]
+    E2 = E.transform(*urst)
+    P2, G2 = (E.map_point(T, *urst) for T in (P, G))
+
+    def pt(T):
+        return f"{format_element(T.x)},{format_element(T.y)}"
+    curve = ["--D", str(K.radicand),
+             *(f"--a{i}={format_element(a)}" for i, a in zip((1, 2, 3, 4, 6), E2.ainvs))]
+    kernel = [*curve, "--p", "3" if (3 * P).is_zero() else "5", f"--P={pt(P2)}"]
+    return [["classify", *kernel], ["selmer", *kernel],
+            ["pairing", *curve, f"--point={pt(G2)}", f"--point={pt(G2 + P2)}"],
+            ["psi", *kernel, f"--point={pt(G2)}"], ["report", *kernel, f"--point={pt(G2)}"]]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(["11a1", "158", "35a"]),
+       st.tuples(_rational.filter(lambda q: q[0]), _rational, _rational, _rational))
+@example("158", ((2, 1), (0, 1), (0, 1), (0, 1)))
+def test_any_rational_model_gives_an_exit_status(worked_curves, label, urst):
+    # every command on every model ends with status 0, 1 or 2 and no traceback
+    E, P, (G, *_) = worked_curves[label]
+    for argv in _model_argvs(E, P, G, urst):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2) and "Traceback" not in err.getvalue(), (argv, err.getvalue())
+
+
+def test_rational_model_under_optimize(worked_curves):
+    E, P, (G,) = worked_curves["158"]
+    argv = _model_argvs(E, P, G, ((-2, 3), (1, 2), (-1, 5), (2, 3)))[4]
+    proc = _run_optimized(argv)
+    assert proc.returncode in (0, 1, 2) and "Traceback" not in proc.stderr, proc.stderr

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logdescent.qfield import (
@@ -165,6 +165,39 @@ def test_residue_reduce_lift():
             xb = k.reduce(x)
             diff = x - k.lift(xb)
             assert pr.val(diff) >= 1 if diff else True
+
+
+# (field, ell): above 2 and 11 Q(sqrt -7) splits, above 3 it is inert and
+# above 7 ramified; Q(sqrt 2) is ramified at 2, inert at 3 and split at 7
+REDUCTION_PRIMES = [(-7, 2), (-7, 11), (-7, 3), (-7, 7), (2, 2), (2, 3), (2, 7), (None, 5)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(REDUCTION_PRIMES), st.integers(-200, 200), st.integers(-200, 200),
+       st.integers(0, 3), st.sampled_from([1, 3, 5, 7]), st.integers(1, 4))
+@example((-7, 2), 0, 1, 1, 1, 3)  # omega/2: integral at one prime above 2 only
+@example((-7, 11), 11, -13, 2, 3, 2)
+def test_reduce_mod_and_residue_at_any_denominator(field_prime, A, B, k, cofactor, N):
+    # v(x) >= 0: reduce_mod(x, pr, N) is integral and agrees with x to order
+    # N, and the residue of x is the residue of that representative and lifts
+    # back to x mod pr; v(x) < 0: both raise ValueError
+    d, ell = field_prime
+    K = make_field(d)
+    x = K.from_omega(A, B if d else 0, ell ** k * cofactor)
+    for pr in primes_above(K, ell):
+        kv = ResidueField(pr)
+        if pr.val(x) < 0:
+            with pytest.raises(ValueError):
+                reduce_mod(x, pr, N)
+            with pytest.raises(ValueError):
+                kv.reduce(x)
+            continue
+        y = reduce_mod(x, pr, N)
+        assert y.integer_coords()[2] == 1
+        assert pr.val(x - y) >= N
+        r = kv.reduce(x)
+        assert r == kv.reduce(y)
+        assert pr.val(x - kv.lift(r)) >= 1
 
 
 def test_residue_roots_brute_vs_large():
