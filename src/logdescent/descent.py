@@ -21,7 +21,7 @@ from .linalg import fp_kernel, fp_rank, fp_solve
 from .localfield import LocalUnitGroup, local_mu_p_dim
 from .logpic import LogDivisor, LogPicTorsion
 from .ntheory import isprime, primerange
-from .pairing import log_pairing, model_places
+from .pairing import bad_places, log_pairing
 from .qfield import (FieldElement, PrimeIdeal, QuadField, ResidueField,
                      _squarefree_part, make_field, primes_above)
 
@@ -56,7 +56,9 @@ class DescentContext:
 
     def _classify(self) -> list[PlaceClassification]:
         K = self.field
-        supp = set(primes_above(K, self.p)) | model_places(self.E) | model_places(self.Eprime)
+        # a good place away from p adds nothing to S_1, S_2 or the hypotheses,
+        # so the table is the same on every model of E and E'
+        supp = {*primes_above(K, self.p), *bad_places(self.E), *bad_places(self.Eprime)}
         z2_phi = K(self.p * self.p) / self.phihat.z_squared
         return [classify_place(self.E, self.Eprime, z2_phi, pr, self.p)
                 for pr in sorted(supp, key=lambda q: q.sort_key())]
@@ -214,14 +216,9 @@ def selmer_phi(ctx: DescentContext) -> SelmerGroup:
         for lug in lugs:
             row.extend(local_unit_coords(lug, g))
         rows.append(row)
-    if not rows or not rows[0]:
-        kernel = [[int(i == j) for j in range(h1.dim)] for i in range(h1.dim)]
-    else:
-        # kernel of the transposed action: combinations of generators that
-        # vanish in every local group
-        ncol = len(rows[0])
-        mat = [[rows[i][j] for i in range(len(rows))] for j in range(ncol)]
-        kernel = fp_kernel(mat, p, ncols=len(rows))
+    # kernel of the transposed action: combinations of generators that
+    # vanish in every local group
+    kernel = fp_kernel([list(c) for c in zip(*rows)], p, ncols=len(rows))
     return SelmerGroup(ctx, h1, rows, kernel)
 
 
@@ -407,17 +404,16 @@ def descent_report(ctx: DescentContext, points: list[Point]) -> DescentReport:
     pts = [ctx.P] + [Q for Q in points if not Q.is_zero()]
     psi_vals = [psi(ctx, Q) for Q in pts]
     psi_rows = [T.vector(D) for D in psi_vals]
-    psi_rank = fp_rank(psi_rows, p) if psi_rows and T.dim else 0
+    psi_rank = fp_rank(psi_rows, p)
     km = KummerMap(ctx)
     aux = next((R for R in points if R not in ctx.kernel_points), None)
     # without a point outside <P>, kappa on <P> is not directly evaluable;
     # psi = rho o kappa, so taking the max with psi_rank still counts kappa(P)
     kappa_rows = [km.coords(Q, aux=aux) for Q in pts
                   if aux is not None or Q not in ctx.kernel_points]
-    kappa_rank = fp_rank(kappa_rows, p) if kappa_rows and kappa_rows[0] else 0
-    kappa_rank = max(kappa_rank, psi_rank)
+    kappa_rank = max(fp_rank(kappa_rows, p), psi_rank)
     sel_rows = [T.vector(psi_sel(ctx, x)) for x in sel.basis_elements()]
-    sel_rank = fp_rank(sel_rows, p) if sel_rows and T.dim else 0
+    sel_rank = fp_rank(sel_rows, p)
     report = DescentReport(
         ctx=ctx,
         sel=sel,

@@ -147,10 +147,7 @@ class LogPic:
         """dim_Fp of the span of the classes of p-torsion elements."""
         from .linalg import fp_rank
 
-        rows = [self.p_torsion_vector(D, p) for D in divisors]
-        if not rows or not rows[0]:
-            return 0
-        return fp_rank(rows, p)
+        return fp_rank([self.p_torsion_vector(D, p) for D in divisors], p)
 
     def nu(self, D: LogDivisor) -> dict[PrimeIdeal, Fraction]:
         """Fractional parts of the coefficients (the monodromy components)."""

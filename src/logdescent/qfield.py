@@ -3,11 +3,12 @@
 Elements are (A + B*sqrt(m))/D with m the squarefree radicand and integers
 A, B, D, D > 0, gcd(A, B, D) = 1: each operation is integer arithmetic and one
 gcd (Cohen, GTM 138, 4.2). The rational coordinates a, b are read-only views.
-Primes are represented explicitly with their splitting data; valuations are
-computed exactly (split primes via Hensel-lifted roots). One reduction,
-reduce_mod, takes every element integral at a prime to a representative mod a
-power of it, whatever its denominators away from that prime; the residue maps
-read off it.
+Primes are represented explicitly with their splitting data. A valuation is
+exact and needs no lifting: the ell-content of an element and one residue
+test decide it (Cohen, GTM 138, 5.1). One reduction, reduce_mod, takes every
+element integral at a prime to a representative mod a power of it, whatever
+its denominators away from that prime; the residue maps and the inverses mod
+a prime power read off it.
 """
 
 from __future__ import annotations
@@ -381,13 +382,16 @@ def parse_element(field: QuadField, s: str) -> FieldElement:
     mobj = _ELT_RE.match(t)
     if not mobj or (mobj.group("a") is None and mobj.group("bpart") is None):
         raise ValueError(f"cannot parse field element {s!r}")
-    a = Fraction(mobj.group("a")) if mobj.group("a") else Fraction(0)
+    araw, braw = mobj.group("a"), mobj.group("b")
+    if araw and braw == "":
+        # 'b*sqrt(m)': the coefficient b was taken for the rational part
+        araw, braw = None, araw
+    a = Fraction(araw) if araw else Fraction(0)
     b = Fraction(0)
     if mobj.group("bpart"):
         m = int(mobj.group("m"))
         if field.is_rational or m != field.radicand:
             raise ValueError(f"radicand mismatch in {s!r} for {field!r}")
-        braw = mobj.group("b")
         if braw in ("", "+"):
             b = Fraction(1)
         elif braw == "-":
@@ -469,42 +473,29 @@ class PrimeIdeal:
             W = (W - fW * pow(dW, -1, mod)) % mod
         return W % ell ** N
 
-    def val(self, x) -> int:
-        """The normalized valuation of x (INF for x = 0)."""
-        if isinstance(x, FieldElement):
-            if not x:
-                return INF
-            if self.kind == "rational" and x.field != self.field:
-                raise ValueError("field mismatch")
-        else:
-            x = Fraction(x)
-            if x == 0:
-                return INF
-            num = _int_val(x.numerator, self.ell)
-            den = _int_val(x.denominator, self.ell)
-            return (num - den) * self.e
+    def val(self, x: FieldElement) -> int:
+        """The normalized valuation of x (INF for x = 0), with no lifting.
+        Write x = ell^g (A + B*omega)/den with ell not dividing both A and B.
+        Then A + B*omega is prime to ell, so it lies in at most one prime
+        above ell: in this one iff A + B*wbar = 0 mod ell (never at an inert
+        prime), and there it carries all of v_ell of its norm."""
+        if not x:
+            return INF
+        if self.kind == "rational" and x.field != self.field:
+            raise ValueError("field mismatch")
+        ell = self.ell
         if not x.B:
             # rational A/D: e * (v_ell(A) - v_ell(D)) at every prime above ell
-            return (_int_val(x.A, self.ell) - _int_val(x.D, self.ell)) * self.e
+            return (_int_val(x.A, ell) - _int_val(x.D, ell)) * self.e
         A, B, den = x.integer_coords()
-        vden = _int_val(den, self.ell) * self.e
-        if self.kind == "rational":
-            return _int_val(A, self.ell) - vden
+        g = _int_val(math.gcd(A, B), ell)
+        if g:
+            A, B = A // ell ** g, B // ell ** g
+        v = (g - _int_val(den, ell)) * self.e
+        if self.kind == "inert" or (A + B * self.wbar) % ell:
+            return v
         tr, nm = self.field.omega_trace, self.field.omega_norm
-        normv = _int_val(A * A + A * B * tr + B * B * nm, self.ell)
-        if self.kind == "inert":
-            if normv % 2:
-                raise RuntimeError(f"odd norm valuation {normv} at the inert prime {self}")
-            return normv // 2 - vden
-        if self.kind == "ramified":
-            return normv - vden
-        # split: embed via a lifted root with enough precision
-        if normv == 0:
-            return -vden
-        W = self.omega_root_mod(normv + 1)
-        c = (A + B * W) % self.ell ** (normv + 1)
-        v = normv if c == 0 else min(_int_val(c, self.ell), normv)
-        return v - vden
+        return v + _int_val(A * A + A * B * tr + B * B * nm, ell)
 
     def label(self) -> str:
         if self.kind in ("rational", "inert"):
@@ -866,6 +857,9 @@ def reduce_mod(x: FieldElement, prime: PrimeIdeal, N: int) -> FieldElement:
     ell^N, which refines prime^N. When ell^k exactly divides den, k > 0, x is
     integral only at a split prime, whose completion is Z_ell: there omega goes
     to its root mod ell^(N+k), and ell^k is divided out of the image.
+    The inverse of a unit at prime mod prime^N is reduce_mod(x.inverse(),
+    prime, N): it is integral at prime even when the conjugate prime divides
+    x, so that ell divides its denominator.
     """
     A, B, den = x.integer_coords()
     ell = prime.ell
@@ -884,22 +878,10 @@ def reduce_mod(x: FieldElement, prime: PrimeIdeal, N: int) -> FieldElement:
     return prime.field.from_omega((A * dinv) % mod, (B * dinv) % mod)
 
 
-def invert_mod(x: FieldElement, prime: PrimeIdeal, N: int) -> FieldElement:
-    """Inverse of a unit x modulo prime^N, by Newton from the residue field."""
-    kv = ResidueField(prime)
-    y = kv.lift(kv.inv(kv.reduce(x)))
-    prec = 1
-    while prec < N:
-        prec = min(2 * prec, N)
-        y = y * (2 - x * y)
-        coefN = (prec + prime.e - 1) // prime.e + 1
-        y = reduce_mod(y, prime, coefN)
-    return y
-
-
 def hensel_root(coeffs: list[FieldElement], prime: PrimeIdeal, root0: FieldElement, N: int) -> FieldElement:
     """Lift a simple residue root root0 of the polynomial (coefficients
-    constant-first, integral at prime) to a root modulo prime^N."""
+    constant-first, integral at prime) to a root modulo prime^N, by Newton
+    steps that invert the derivative exactly and reduce the inverse."""
 
     def ev(cs, x):
         acc = x.field.zero()
@@ -914,7 +896,7 @@ def hensel_root(coeffs: list[FieldElement], prime: PrimeIdeal, root0: FieldEleme
     prec = 1
     while prec < N:
         prec = min(2 * prec, N)
-        inv = invert_mod(ev(dcoeffs, x), prime, prec)
+        inv = reduce_mod(ev(dcoeffs, x).inverse(), prime, prec)
         x = x - ev(coeffs, x) * inv
         coefN = (prec + prime.e - 1) // prime.e + 1
         x = reduce_mod(x, prime, coefN)

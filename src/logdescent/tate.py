@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .ellcurve import Curve, Point, coordinate_change, map_coords
-from .qfield import PrimeIdeal, ResidueField, hensel_root, invert_mod, reduce_mod
+from .qfield import PrimeIdeal, ResidueField, hensel_root, reduce_mod
 
 @dataclass
 class LocalData:
@@ -381,7 +381,7 @@ def _refine_node(E: Curve, pr: PrimeIdeal, N: int):
         j21 = E.a1
         j22 = K(2)
         det = j11 * j22 - j12 * j21
-        dinv = invert_mod(det, pr, prec)
+        dinv = reduce_mod(det.inverse(), pr, prec)
         dx = (j22 * fx - j12 * fy) * dinv
         dy = (j11 * fy - j21 * fx) * dinv
         x = reduce_mod(x - dx, pr, prec + 1)

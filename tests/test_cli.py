@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 import logdescent
 from logdescent.cli import main
-from logdescent.qfield import format_element
+from logdescent.ellcurve import Curve
+from logdescent.pairing import log_pairing, pairing_group
+from logdescent.qfield import format_element, make_field
 
 ARGS_11A_47 = ["--D", "-47", "--a2", "-1", "--a3", "1", "--a4", "-10",
                "--a6", "-20", "--p", "5", "--P", "5,5"]
@@ -55,6 +57,48 @@ def test_pairing_text_matches_worked_values(capsys):
                                  "--point", "13,-15", "--point", "13,-15"])
     assert code == 0
     assert "4/5 (2,1/2+1/2*sqrt(-79)) + 4/5 (2,-1/2+1/2*sqrt(-79))" in out
+
+
+def test_pairing_reads_a_coordinate_with_no_rational_part(capsys):
+    # (0, 2*sqrt(2)) is on y^2 = x^3 + 8; the coordinate is not 2 + sqrt(2)
+    code, out, err = _run(capsys, ["pairing", "--D", "2", "--a6", "8",
+                                   "--point", "0,2*sqrt(2)", "--point", "0,2*sqrt(2)"])
+    assert code == 0, err
+    K = make_field(2)
+    E = Curve(K, 0, 0, 0, 0, 8)
+    P = E.point(0, K(0, 2))
+    G = pairing_group(E)
+    coords = list(G.class_coords(log_pairing(E, P, P)))
+    assert f"class in logPic: {coords} on cyclic factors {G.coker.divisors}" in out
+
+
+# 158 over Q(sqrt(-79)), p = 5: the minimal model and its scalings by u = 3
+# and u = 1/3, whose denominators or coefficients put 3 in model_places
+CLASSIFY_158_MODELS = [
+    ["--a1", "1", "--a2", "1", "--a3", "1", "--a4=-420", "--a6", "3109", "--P", "13,-15"],
+    ["--a1", "1/3", "--a2", "1/9", "--a3", "1/27", "--a4=-420/81", "--a6", "3109/729",
+     "--P", "13/9,-5/9"],
+    ["--a1", "3", "--a2", "9", "--a3", "27", "--a4=-34020", "--a6", "2266461",
+     "--P", "117,-405"],
+]
+
+
+def test_classify_rows_do_not_depend_on_the_model(capsys):
+    rows, places = [], []
+    for model in CLASSIFY_158_MODELS:
+        argv = ["classify", "--D", "-79", "--p", "5", *model]
+        code, out, err = _run(capsys, argv)
+        assert code == 0, err
+        lines = out.splitlines()
+        first = next(i for i, line in enumerate(lines) if line.startswith("place"))
+        last = next(i for i, line in enumerate(lines) if line.startswith("S1 ="))
+        rows.append(lines[first:last])
+        code, out, err = _run(capsys, [*argv, "--format", "json"])
+        assert code == 0, err
+        places.append(json.loads(out)["places"])
+    assert len(rows[0]) == 6  # the header and the five places of the README table
+    assert rows[0] == rows[1] == rows[2]
+    assert places[0] == places[1] == places[2]
 
 
 def test_psi_text_output(capsys):

@@ -1,8 +1,10 @@
-"""Every module-level name of the package is used somewhere.
+"""Every module-level name of the package is used somewhere, and so is
+every method and property of its module-level classes.
 
 A function, class or constant defined at the top of a module under
-``src/logdescent`` must be referenced outside its own definition: in the
-package, in the tests or in the benchmark harness. Name lookups,
+``src/logdescent``, or a method or property (dunders excluded) defined in
+the body of such a class, must be referenced outside its own definition:
+in the package, in the tests or in the benchmark harness. Name lookups,
 attribute lookups, ``from ... import`` names and string constants that
 spell a dotted name (the tracer's targets) count as references; comments
 and docstrings do not.
@@ -40,6 +42,14 @@ def _definitions(tree):
                 if isinstance(n, ast.Name):
                     out[n.id] = n
     return {k: v for k, v in out.items() if not (k.startswith("__") and k.endswith("__"))}
+
+
+def _methods(tree):
+    """(class, name) of each method and property of the module-level classes."""
+    return [(cls.name, node.name) for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
 
 
 def _references(tree, skip):
@@ -82,3 +92,10 @@ def test_module_level_names_are_referenced(module, references):
     defined = _definitions(_parse(os.path.join(PACKAGE, module)))
     dead = sorted(name for name in defined if name not in references)
     assert not dead, f"{module} defines names that nothing references: {dead}"
+
+
+@pytest.mark.parametrize("module", sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py")))
+def test_methods_are_referenced(module, references):
+    methods = _methods(_parse(os.path.join(PACKAGE, module)))
+    dead = sorted(f"{cls}.{name}" for cls, name in methods if name not in references)
+    assert not dead, f"{module} defines methods that nothing references: {dead}"

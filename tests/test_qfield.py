@@ -12,7 +12,6 @@ from logdescent.qfield import (
     _squarefree_part,
     format_element,
     hensel_root,
-    invert_mod,
     kronecker,
     make_field,
     parse_element,
@@ -53,12 +52,21 @@ def test_element_arithmetic():
     assert (x * x.conj()).b == 0
 
 
-def test_parse_format_roundtrip():
-    K = make_field(2)
-    for x in [K(3), K(0, 1), K(Fraction(-1, 2), Fraction(7, 4)), K(0)]:
-        assert parse_element(K, format_element(x)) == x
-    Q = make_field(None)
-    assert parse_element(Q, "-3/4") == Q(Fraction(-3, 4))
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([None, 2, -79]),
+       st.fractions(min_value=-100, max_value=100, max_denominator=50),
+       st.fractions(min_value=-100, max_value=100, max_denominator=50))
+@example(2, Fraction(3), Fraction(0))
+@example(2, Fraction(0), Fraction(1))
+@example(2, Fraction(-1, 2), Fraction(7, 4))
+@example(2, Fraction(0), Fraction(0))
+@example(None, Fraction(-3, 4), Fraction(0))
+@example(2, Fraction(0), Fraction(2))  # 2*sqrt(2), with no rational part
+@example(-79, Fraction(0), Fraction(-35, 4))
+def test_parse_format_roundtrip(D, a, b):
+    K = make_field(D)
+    x = K(a, 0 if K.is_rational else b)
+    assert parse_element(K, format_element(x)) == x
 
 
 def test_kronecker_matches_splitting():
@@ -311,8 +319,16 @@ def test_reduce_invert_hensel():
     x = K(1) + 2 * K.omega()  # norm 51, a unit above 7
     xm = reduce_mod(x, pr, 4)
     assert pr.val(x - xm) >= 4
-    y = invert_mod(x, pr, 4)
+    y = reduce_mod(x.inverse(), pr, 4)
     assert pr.val(x * y - 1) >= 4
+    # a unit at pr inside the conjugate prime: its inverse has 7 in the
+    # denominator and is still integral at pr
+    xbar = pr.conjugate().second_gen()
+    assert pr.val(xbar) == 0 and pr.conjugate().val(xbar) >= 1
+    assert xbar.inverse().integer_coords()[2] % 7 == 0
+    for N in (1, 2, 5):
+        y = reduce_mod(xbar.inverse(), pr, N)
+        assert y.integer_coords()[2] == 1 and pr.val(xbar * y - 1) >= N
     # hensel: root of T^2 - 2 mod powers of a split prime of Q(sqrt 2)
     K2 = make_field(2)
     pr7 = primes_above(K2, 7)[0]
@@ -321,6 +337,45 @@ def test_reduce_invert_hensel():
     r0 = k.lift(rts[0])
     r = hensel_root([K2(-2), K2(0), K2(1)], pr7, r0, 6)
     assert pr7.val(r * r - 2) >= 6
+
+
+def _lifted_val(pr, x):
+    """The valuation as computed with p-adic lifting: from the norm at a
+    non-split prime, and at a split one by mapping omega to its root mod
+    ell^(v(N) + 1), lifted by Newton from wbar."""
+    A, B, den = x.integer_coords()
+    ell, tr, nm = pr.ell, x.field.omega_trace, x.field.omega_norm
+    vden = sympy.multiplicity(ell, den) * pr.e
+    normv = sympy.multiplicity(ell, A * A + A * B * tr + B * B * nm)
+    if pr.kind == "inert":
+        return normv // 2 - vden
+    if pr.kind != "split":
+        return normv - vden
+    W, mod = pr.wbar, ell ** (normv + 1)
+    for _ in range(normv.bit_length() + 1):
+        W = (W - (W * W - tr * W + nm) * pow(2 * W - tr, -1, mod)) % mod
+    c = (A + B * W) % mod
+    return (normv if c == 0 else min(sympy.multiplicity(ell, c), normv)) - vden
+
+
+_VAL_FIELDS = [-1, -2, -3, -5, -7, -15, -47, -79, 2, 3, 5, 6, 7, 13, 17, 79]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_VAL_FIELDS), st.sampled_from(list(sympy.primerange(2, 60))),
+       st.integers(-10 ** 4, 10 ** 4), st.integers(-10 ** 4, 10 ** 4),
+       st.integers(0, 3), st.integers(0, 3), st.integers(1, 60), st.integers(0, 2))
+@example(-47, 7, 3, 1, 2, 2, 1, 0)
+@example(2, 7, 0, 1, 0, 3, 7, 2)
+def test_valuation_matches_the_lifted_root(D, ell, a, b, ga, gb, d, gd):
+    # A and B carry ell-content ell^ga, ell^gb; the denominator may carry ell
+    K = make_field(D)
+    A, B, den = a * ell ** ga, b * ell ** gb, d * ell ** gd
+    if not (A or B):
+        return
+    x = K.from_omega(A, B, den)
+    for pr in primes_above(K, ell):
+        assert pr.val(x) == _lifted_val(pr, x)
 
 
 @settings(max_examples=60, deadline=None)
@@ -447,12 +502,12 @@ def test_field_element_matches_fraction_pairs(D, a1, b1, a2, b2, k, q, n):
 @given(st.sampled_from(_ORACLE_FIELDS), st.sampled_from([2, 3, 5, 7, 11, 47, 79]),
        st.fractions(max_denominator=10 ** 6).filter(lambda r: r != 0))
 def test_rational_valuations_match_the_norm_route(D, ell, r):
-    # val reads a rational element off its numerator and denominator; the
-    # Fraction path agrees, and so does the norm route on r times the unit
-    # 1 + ell*sqrt(m) at the primes above ell
+    # a rational r has valuation e * v_ell(r) at each prime above ell, and
+    # so has r times the unit 1 + ell*sqrt(m), which takes the norm route
     K = make_field(D)
+    want = sympy.multiplicity(ell, r.numerator) - sympy.multiplicity(ell, r.denominator)
     for pr in primes_above(K, ell):
-        assert pr.val(K(r)) == pr.val(r)
+        assert pr.val(K(r)) == pr.e * want
         if not K.is_rational:
             assert pr.val(K(r)) == pr.val(K(r) * K(1, ell))
 
