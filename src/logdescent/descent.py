@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .ellcurve import Curve, Point
+from .ellcurve import Curve, Point, add_with_slope
 from .ideals import (FieldSelmerBasis, LimitError, SClassGroup, class_group,
                      field_selmer_basis, s_class_group)
 from .isogeny import PlaceClassification, classify_place, isogeny_from_kernel_point
@@ -253,31 +253,20 @@ def sel_p_dim_if_applicable(ctx: DescentContext, sel: SelmerGroup) -> int | None
 # -- the Kummer map via Miller functions -----------------------------------
 
 
-def _line(V: Point, W: Point, X: Point) -> FieldElement:
-    """The line through V and W (tangent if V = W), evaluated at X; the
-    vertical through V if V + W = O."""
-    E = V.curve
-    if (V + W).is_zero():
-        return X.x - V.x
-    if V == W:
-        lam = (3 * V.x * V.x + 2 * E.a2 * V.x + E.a4 - E.a1 * V.y) \
-            / (2 * V.y + E.a1 * V.x + E.a3)
-    else:
-        lam = (W.y - V.y) / (W.x - V.x)
-    return X.y - V.y - lam * (X.x - V.x)
-
-
 def miller(P: Point, p: int, X: Point) -> FieldElement:
     """Value at X of the function with divisor p(P) - p(O), built by the
-    additive chain f_{m+1} = f_m * line(V, P) / vertical(V + P)."""
+    additive chain f_{m+1} = f_m * line(V, P) / vertical(V + P). One group
+    law step gives V + P and the slope of the line through V and P."""
     f = P.curve.field(1)
     V = P
     for _ in range(p - 1):
-        num = _line(V, P, X)
+        W, lam = add_with_slope(V, P)
+        # the vertical through V when V + P = O
+        num = X.x - V.x if lam is None else X.y - V.y - lam * (X.x - V.x)
         if not num:
             raise ZeroDivisionError("X hits the support of a line")
         f = f * num
-        V = V + P
+        V = W
         if not V.is_zero():
             den = X.x - V.x
             if not den:

@@ -12,9 +12,13 @@ from .qfield import FieldElement, QuadField
 
 
 class Curve:
-    """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6."""
+    """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6.
 
-    __slots__ = ("field", "a1", "a2", "a3", "a4", "a6", "disc")
+    place_table is None until pairing.place_table fills it, on first use:
+    the places of pairing.model_places in sorted order, each with its local
+    data, so that disc is factored once per curve."""
+
+    __slots__ = ("field", "a1", "a2", "a3", "a4", "a6", "disc", "place_table")
 
     def __init__(self, field: QuadField, a1, a2, a3, a4, a6):
         self.field = field
@@ -27,6 +31,7 @@ class Curve:
         self.disc = -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
         if not self.disc:
             raise ValueError("singular model")
+        self.place_table = None
 
     @property
     def ainvs(self):
@@ -71,8 +76,8 @@ class Curve:
         return f"Curve[{', '.join(str(a) for a in self.ainvs)}] over disc {self.field.disc}"
 
     def equation_value(self, x, y):
-        return (y * y + self.a1 * x * y + self.a3 * y
-                - x ** 3 - self.a2 * x * x - self.a4 * x - self.a6)
+        # Horner form: the exact value with four products
+        return y * (y + self.a1 * x + self.a3) - ((x + self.a2) * x + self.a4) * x - self.a6
 
     def is_on(self, x, y) -> bool:
         return not self.equation_value(x, y)
@@ -124,6 +129,7 @@ class Curve:
         E = object.__new__(Curve)
         E.field = K
         E.a1, E.a2, E.a3, E.a4, E.a6, E.disc = na1, na2, na3, na4, na6, disc
+        E.place_table = None
         return E
 
     def map_point(self, P: "Point", u, r, s, t) -> "Point":
@@ -214,26 +220,7 @@ class Point:
         return Point(E, self.x, -self.y - E.a1 * self.x - E.a3)
 
     def __add__(self, other: "Point") -> "Point":
-        E = self.curve
-        if other.curve is not E and other.curve != E:
-            raise ValueError(f"cannot add points of {E} and {other.curve}")
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        x1, y1, x2, y2 = self.x, self.y, other.x, other.y
-        if x1 == x2:
-            if y2 == -y1 - E.a1 * x1 - E.a3:
-                return E.zero()
-            num = 3 * x1 * x1 + 2 * E.a2 * x1 + E.a4 - E.a1 * y1
-            den = 2 * y1 + E.a1 * x1 + E.a3
-            lam = num / den
-        else:
-            lam = (y2 - y1) / (x2 - x1)
-        nu = y1 - lam * x1
-        x3 = lam * lam + E.a1 * lam - E.a2 - x1 - x2
-        y3 = -(lam + E.a1) * x3 - nu - E.a3
-        return Point(E, x3, y3)
+        return add_with_slope(self, other)[0]
 
     def __sub__(self, other):
         return self + (-other)
@@ -257,6 +244,29 @@ class Point:
         if self.is_zero():
             return "O"
         return f"({self.x} : {self.y})"
+
+
+def add_with_slope(V: Point, W: Point) -> tuple:
+    """(V + W, lam) with lam the slope of the chord through V and W, or of
+    the tangent at V if V = W; lam is None where there is no such line with
+    a slope: V + W = O (the line is vertical), V = O or W = O."""
+    E = V.curve
+    if W.curve is not E and W.curve != E:
+        raise ValueError(f"cannot add points of {E} and {W.curve}")
+    if V.is_zero():
+        return W, None
+    if W.is_zero():
+        return V, None
+    x1, y1, x2, y2 = V.x, V.y, W.x, W.y
+    if x1 == x2:
+        if y2 == -y1 - E.a1 * x1 - E.a3:
+            return E.zero(), None
+        lam = (3 * x1 * x1 + 2 * E.a2 * x1 + E.a4 - E.a1 * y1) / (2 * y1 + E.a1 * x1 + E.a3)
+    else:
+        lam = (y2 - y1) / (x2 - x1)
+    x3 = lam * lam + E.a1 * lam - E.a2 - x1 - x2
+    y3 = -(lam + E.a1) * x3 - (y1 - lam * x1) - E.a3
+    return Point(E, x3, y3), lam
 
 
 def coordinate_change(u: FieldElement, r: FieldElement, s: FieldElement,

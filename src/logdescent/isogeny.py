@@ -20,7 +20,7 @@ from functools import cached_property
 from .ellcurve import Curve, Point
 from .polyring import Poly, gcd, interpolate, resultant
 from .qfield import FieldElement, PrimeIdeal, sqrt_element
-from .tate import LocalData
+from .tate import LocalData, tate_local_data
 
 
 @dataclass
@@ -244,8 +244,6 @@ _TATE_CACHE: dict = {}
 
 
 def tate(E: Curve, pr: PrimeIdeal) -> LocalData:
-    from .tate import tate_local_data
-
     key = (E, pr)
     ld = _TATE_CACHE.get(key)
     if ld is None:

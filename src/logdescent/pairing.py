@@ -8,6 +8,12 @@ summed over the bad places v, where e is the denominator divisor, F_Q is
 the fibral correction divisor making [Q]-[O]+[F_Q] cubic, and j(R) is the
 component hit by R. Values live in the group of divisors with rational
 coefficients at bad places modulo principal divisors.
+
+The local terms are read off the given model: for x = u^2 x' + r at v,
+v(x') = v(x - r) - 2v(u) gives e (tate.e_entry), and a point is mapped onto
+the minimal model only at a bad place where v(x') >= 1, the one case in which
+it can leave the identity component. The model places and their local data
+are found once per curve (place_table).
 """
 
 from __future__ import annotations
@@ -35,10 +41,18 @@ def model_places(E: Curve) -> set[PrimeIdeal]:
     return out
 
 
+def place_table(E: Curve) -> dict[PrimeIdeal, LocalData]:
+    """The model places of E in sorted order, each with its local data; built
+    on first use and kept in E.place_table."""
+    if E.place_table is None:
+        E.place_table = {pr: tate(E, pr)
+                         for pr in sorted(model_places(E), key=lambda p: p.sort_key())}
+    return E.place_table
+
+
 def bad_places(E: Curve) -> list[PrimeIdeal]:
     """Places where E has bad reduction, for any Weierstrass model of it."""
-    return sorted((p for p in model_places(E) if not tate(E, p).is_good),
-                  key=lambda p: p.sort_key())
+    return [pr for pr, ld in place_table(E).items() if not ld.is_good]
 
 
 def fibral_coefficient(ld: LocalData, jq: int, jr: int) -> Fraction:
@@ -72,17 +86,12 @@ def fibral_coefficient(ld: LocalData, jq: int, jr: int) -> Fraction:
 
 
 def _denominator_places(K: QuadField, pts: list[Point]) -> set[PrimeIdeal]:
-    out: set[PrimeIdeal] = set()
-    for P in pts:
-        if P.is_zero() or not P.x:
-            continue
-        # only places with v(x) < 0 matter; those divide the coordinate
-        # denominators, so the (often huge) numerator is never factored
-        for ell in factorint(P.x.D):
-            for pr in primes_above(K, ell):
-                if pr.val(P.x) < 0:
-                    out.add(pr)
-    return out
+    xs = [P.x for P in pts if not P.is_zero() and P.x]
+    # only places with v(x) < 0 matter; those divide the coordinate
+    # denominators, so the (often huge) numerator is never factored
+    ells = set().union(*(factorint(x.D) for x in xs))
+    return {pr for ell in ells for pr in primes_above(K, ell)
+            if any(pr.val(x) < 0 for x in xs)}
 
 
 def log_pairing(E: Curve, Q: Point, R: Point) -> LogDivisor:
@@ -96,18 +105,21 @@ def log_pairing(E: Curve, Q: Point, R: Point) -> LogDivisor:
     E.check(R)
     S = Q + R
     E.check(S)
-    # every place with e(O) or fibral contributions is a model place
-    places = model_places(E) | _denominator_places(K, [Q, R, S])
+    table = place_table(E)
+    # a pole place off the table is looked up per call, and not kept
+    poles = [(pr, tate(E, pr)) for pr in _denominator_places(K, [Q, R, S]) if pr not in table]
+    places = sorted([*table.items(), *poles], key=lambda it: it[0].sort_key()) \
+        if poles else table.items()
     coeffs = {}
-    for pr in sorted(places, key=lambda p: p.sort_key()):
-        ld = tate(E, pr)
-        # each point mapped onto curve_min once, its check done above
-        Sm, Qm, Rm = (ld._image(P) for P in (S, Q, R))
-        eS = Fraction(ld.vu) if S.is_zero() else e_entry(ld, Sm)
-        val = eS - e_entry(ld, Qm) - e_entry(ld, Rm) + Fraction(ld.vu)
-        if not ld.is_good:
-            jq = component_index(ld, Qm)
-            jr = component_index(ld, Rm)
+    for pr, ld in places:
+        # 2e(T) = -min(v(x'), 0), and 2e(O) = 2v(u)
+        wQ, wR = e_entry(ld, Q), e_entry(ld, R)
+        eS2 = 2 * ld.vu if S.is_zero() else -min(e_entry(ld, S), 0)
+        val = Fraction(eS2 + min(wQ, 0) + min(wR, 0) + 2 * ld.vu, 2)
+        if wQ >= 1 and wR >= 1 and not ld.is_good:
+            # each point mapped onto curve_min once, its check done above
+            jq = component_index(ld, ld._image(Q))
+            jr = component_index(ld, ld._image(R))
             val -= fibral_coefficient(ld, jq, jr)
         if val:
             coeffs[pr] = val
@@ -126,5 +138,5 @@ def monodromy_pairing(ld: LocalData, Q: Point, R: Point, source: Curve) -> Fract
 
 def pairing_group(E: Curve) -> LogPic:
     """The group where values of the pairing on E live."""
-    mults = {pr: tate(E, pr).comp_order for pr in bad_places(E)}
+    mults = {pr: ld.comp_order for pr, ld in place_table(E).items() if not ld.is_good}
     return LogPic(E.field, mults)

@@ -370,22 +370,21 @@ def format_element(x: FieldElement) -> str:
     return f"{x.a}{sign}{s}"
 
 
+# an unsigned coefficient b only with no rational part before it, so that
+# 'a' and 'b' are never juxtaposed, as in 3/41/2*sqrt(2)
 _ELT_RE = re.compile(
-    r"^\s*(?P<a>[+-]?\d+(?:/\d+)?)?\s*"
-    r"(?P<bpart>(?P<b>[+-](?:\d+(?:/\d+)?)?|(?:\d+(?:/\d+)?)?)\*?sqrt\((?P<m>-?\d+)\))?\s*$"
+    r"^(?P<a>[+-]?\d+(?:/\d+)?)?"
+    r"(?P<bpart>(?P<b>[+-](?:\d+(?:/\d+)?)?|(?<![\d/])(?:\d+(?:/\d+)?)?)\*?sqrt\((?P<m>-?\d+)\))?$"
 )
 
 
 def parse_element(field: QuadField, s: str) -> FieldElement:
     """Parse 'a', 'a+b*sqrt(m)', 'b*sqrt(m)' with rational a, b."""
-    t = s.replace(" ", "")
+    t = "".join(s.split())
     mobj = _ELT_RE.match(t)
     if not mobj or (mobj.group("a") is None and mobj.group("bpart") is None):
         raise ValueError(f"cannot parse field element {s!r}")
     araw, braw = mobj.group("a"), mobj.group("b")
-    if araw and braw == "":
-        # 'b*sqrt(m)': the coefficient b was taken for the rational part
-        araw, braw = None, araw
     a = Fraction(araw) if araw else Fraction(0)
     b = Fraction(0)
     if mobj.group("bpart"):

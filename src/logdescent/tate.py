@@ -18,7 +18,6 @@ P(T)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .ellcurve import Curve, Point, coordinate_change, map_coords
@@ -351,12 +350,14 @@ def _walk(E: Curve, urst: tuple, pr: PrimeIdeal) -> LocalData:
 # -- points on the special fiber ------------------------------------------
 
 
-def e_entry(ld: LocalData, Pm: Point):
-    """e_v(Pm) = -(1/2) min(v(x), 0) for Pm a point of curve_min (see
-    LocalData.map_point); Fraction-valued."""
-    if Pm.is_zero():
-        return Fraction(0)
-    return Fraction(-min(ld.prime.val(Pm.x), 0), 2)
+def e_entry(ld: LocalData, P: Point) -> int:
+    """v(x') for P != O, a point of the input model, and x' its x on curve_min:
+    x = u^2 x' + r gives v(x') = v(x - r) - 2v(u) for every transform urst,
+    so P is not mapped. pairing.log_pairing reads it at each place of the
+    curve's place table (and at the pole places): e_v(P) = -(1/2) min(v(x'), 0),
+    and at a bad place P meets the singular point (0,0) iff v(x') >= 1, the
+    only case where component_index of its image is nonzero."""
+    return ld.prime.val(P.x - ld.urst[1]) - 2 * ld.vu
 
 
 def _at_singular_point(ld: LocalData, Pm: Point) -> bool:
@@ -394,7 +395,9 @@ def _refine_node(E: Curve, pr: PrimeIdeal, N: int):
 
 def component_index(ld: LocalData, Pm: Point) -> int:
     """Index of the component of the special fiber hit by Pm, a point of
-    curve_min (see LocalData.map_point).
+    curve_min (see LocalData.map_point). It is 0 unless Pm meets the singular
+    point, so pairing.log_pairing asks here only at the bad places of its
+    place table where e_entry reads v(x') >= 1.
 
     For In the cycle of components is numbered 0..n-1 with a fixed
     orientation (smaller tangent slope first); the map to Z/n is a

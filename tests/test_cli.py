@@ -1,10 +1,12 @@
 import contextlib
+import importlib.util
 import io
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,6 +28,28 @@ def _run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _benchmark_workloads():
+    """perfbench/workloads.py, read for its CLI commands and golden paths."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _benchmark_workloads()
+
+
+@pytest.mark.parametrize("fmt", WORKLOADS.CLI_FORMATS)
+@pytest.mark.parametrize("name", sorted(WORKLOADS.CLI_COMMANDS))
+def test_cli_workload_commands_match_their_goldens(capsys, name, fmt):
+    # the five README commands of the benchmark's cli workload, run in
+    # process, print the recorded golden bytes
+    code, out, err = _run(capsys, WORKLOADS.cli_argv(name, fmt))
+    assert code == 0, err
+    assert out.encode() == WORKLOADS.golden_path(name, fmt).read_bytes()
 
 
 def test_classify_json_schema(capsys):
@@ -70,6 +94,14 @@ def test_pairing_reads_a_coordinate_with_no_rational_part(capsys):
     G = pairing_group(E)
     coords = list(G.class_coords(log_pairing(E, P, P)))
     assert f"class in logPic: {coords} on cyclic factors {G.coker.divisors}" in out
+
+
+def test_juxtaposed_coordinate_parts_are_an_input_error(capsys):
+    code, out, err = _run(capsys, ["pairing", "--D", "2", "--a6", "8",
+                                   "--point", "0,3/41/2*sqrt(2)", "--point", "0,2*sqrt(2)"])
+    assert code == 1
+    assert out == ""
+    assert "cannot parse field element '3/41/2*sqrt(2)'" in err
 
 
 # 158 over Q(sqrt(-79)), p = 5: the minimal model and its scalings by u = 3

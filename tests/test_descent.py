@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logdescent.descent import (
     DescentContext,
@@ -22,6 +24,7 @@ from logdescent.linalg import fp_rank
 from logdescent.localfield import LocalUnitGroup, is_local_pth_power
 from logdescent.logpic import LogDivisor
 from logdescent.qfield import ResidueField, make_field, primes_above
+from test_model_change import DEGREE
 
 
 def _ctx_11a(d):
@@ -353,6 +356,43 @@ def test_miller_rejects_non_torsion_point():
     Q = E.point(K(4), K(Fraction(-1, 2), Fraction(1, 2)))  # infinite order
     with pytest.raises(ValueError):
         miller(Q, 5, E.point(K(5), K(5)))
+
+
+def _miller_three_additions(P, p, X):
+    """Miller's chain as it was written before one group-law step gave the
+    slope: the line through V and P from its own sum V + P and slope, then
+    V + P once more."""
+    E = P.curve
+
+    def line(V, W):
+        if (V + W).is_zero():
+            return X.x - V.x
+        if V == W:
+            lam = (3 * V.x * V.x + 2 * E.a2 * V.x + E.a4 - E.a1 * V.y) \
+                / (2 * V.y + E.a1 * V.x + E.a3)
+        else:
+            lam = (W.y - V.y) / (W.x - V.x)
+        return X.y - V.y - lam * (X.x - V.x)
+
+    f = E.field(1)
+    V = P
+    for _ in range(p - 1):
+        f = f * line(V, P)
+        V = V + P
+        if not V.is_zero():
+            f = f / (X.x - V.x)
+    return f
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["11a1", "158", "35a"]), st.integers(-3, 3).filter(bool),
+       st.integers(0, 4))
+def test_miller_matches_the_three_addition_chain(worked_curves, label, a, b):
+    # X = aG + bP with a != 0 lies outside <P>, the support of every line
+    E, P, (G, *_) = worked_curves[label]
+    p = DEGREE[label]
+    X = G * a + P * b
+    assert miller(P, p, X) == _miller_three_additions(P, p, X)
 
 
 def test_psi_sel_on_units_and_integers():

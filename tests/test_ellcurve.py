@@ -144,3 +144,19 @@ def test_adding_points_of_two_curves_raises_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
+
+
+_RATIONAL = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([None, 2, -79]), st.lists(st.tuples(_RATIONAL, _RATIONAL), min_size=7, max_size=7))
+def test_equation_value_matches_the_expanded_form(D, pairs):
+    K = make_field(D)
+    a1, a2, a3, a4, a6, x, y = (K(a) if K.is_rational else K(a, b) for a, b in pairs)
+    try:
+        E = Curve(K, a1, a2, a3, a4, a6)
+    except ValueError:
+        return  # a singular model
+    want = y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x - a4 * x - a6
+    assert E.equation_value(x, y) == want

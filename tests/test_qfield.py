@@ -63,10 +63,27 @@ def test_element_arithmetic():
 @example(None, Fraction(-3, 4), Fraction(0))
 @example(2, Fraction(0), Fraction(2))  # 2*sqrt(2), with no rational part
 @example(-79, Fraction(0), Fraction(-35, 4))
+@example(2, Fraction(0), Fraction(-35, 4))
+@example(2, Fraction(3), Fraction(1, 2))
+@example(2, Fraction(0), Fraction(31, 2))  # 31/2*sqrt(2), not 3 + 1/2*sqrt(2)
 def test_parse_format_roundtrip(D, a, b):
     K = make_field(D)
     x = K(a, 0 if K.is_rational else b)
     assert parse_element(K, format_element(x)) == x
+
+
+_FRACTION_TEXT = st.tuples(st.integers(0, 999), st.integers(1, 999)).map(lambda t: f"{t[0]}/{t[1]}")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["", "+", "-"]), _FRACTION_TEXT, _FRACTION_TEXT,
+       st.sampled_from(["*", ""]), st.sampled_from([2, -79]))
+@example("", "3/4", "1/2", "*", 2)
+def test_parse_rejects_juxtaposed_parts(sign, a, b, star, m):
+    # <a><b>*sqrt(m) with two fractions and no sign between them has no
+    # reading: it is neither a + b*sqrt(m) nor one coefficient of sqrt(m)
+    with pytest.raises(ValueError, match="cannot parse"):
+        parse_element(make_field(m), f"{sign}{a}{b}{star}sqrt({m})")
 
 
 def test_kronecker_matches_splitting():

@@ -295,11 +295,23 @@ def test_e_entry():
     P = E.point(K(Fraction(9, 2)), K(Fraction(-1, 2), Fraction(7, 4)))
     pr2 = primes_above(K, 2)[0]  # ramified, v(2) = 2
     ld2 = tate_local_data(E, pr2)
-    assert e_entry(ld2, ld2.map_point(P, E)) == 1
-    assert e_entry(ld2, ld2.map_point(E.zero(), E)) == 0
+    assert e_entry(ld2, P) == -2  # v(x') = v(9/2), so e = 1
     pr7 = primes_above(K, 7)[0]
     ld7 = tate_local_data(E, pr7)
-    assert e_entry(ld7, ld7.map_point(P, E)) == 0
+    assert e_entry(ld7, P) == 0
+    # v(x') is read off the input point whatever the transform to curve_min:
+    # u = 2, a non-integral r, a non-integral s and a unit u
+    s2 = K(0, 1)
+    places = [*primes_above(K, 2), *primes_above(K, 3), *primes_above(K, 5),
+              *primes_above(K, 11)]
+    for urst in ((2, 0, 0, 0), (1, Fraction(1, 2) + s2 / 3, 0, 1),
+                 (1, 0, s2 / 5, 0), (1 + s2, 1, 1, s2)):
+        E2 = E.transform(*urst)
+        for T in (P, P * 2, P * 3):
+            T2 = E.map_point(T, *urst)
+            for pr in places:
+                ld = tate_local_data(E2, pr)
+                assert e_entry(ld, T2) == pr.val(ld.map_point(T2, E2).x), (urst, T, pr)
 
 
 def test_singular_reduction_flag():
