@@ -224,11 +224,12 @@ def selmer_phi(ctx: DescentContext) -> SelmerGroup:
 
 def selmer_phihat_dim(ctx: DescentContext, sel: SelmerGroup) -> int:
     """Global duality: dim Sel^phi - dim Sel^phihat =
-    #S_1 + #{v | infinity} - sum over S_2 of n_v + dim mu_p(K) - 1."""
+    #S_1 + #{v | infinity} - sum over S_2 of n_v + dim mu_p(K) - 1, where
+    n_v = dim O_v^*/p is [K_v : Q_p] above p and dim mu_p(K_v) away from p."""
     p = ctx.p
     nv_sum = 0
     for pr in ctx.S2:
-        nv_sum += pr.e * pr.f if pr.ell == p else 1
+        nv_sum += pr.e * pr.f if pr.ell == p else local_mu_p_dim(pr, p)
     diff = (len(ctx.S1) + ctx.field.infinite_places() - nv_sum
             + ctx.field.mu_p_dim(p) - 1)
     d = sel.dim - diff

@@ -6,14 +6,17 @@ For points Q, R on E/K the value is the divisor class
 
 summed over the bad places v, where e is the denominator divisor, F_Q is
 the fibral correction divisor making [Q]-[O]+[F_Q] cubic, and j(R) is the
-component hit by R. Values live in the group of divisors with rational
-coefficients at bad places modulo principal divisors.
+component hit by R. The table a_j(F_Q) and the multiplicities #Phi_v of the
+pairing group come from the component group Phi_v of each bad place,
+LocalData.phi (tate.ComponentGroup). Values live in the group of divisors
+with rational coefficients at bad places modulo principal divisors.
 
 The local terms are read off the given model: for x = u^2 x' + r at v,
 v(x') = v(x - r) - 2v(u) gives e (tate.e_entry), and a point is mapped onto
 the minimal model only at a bad place where v(x') >= 1, the one case in which
 it can leave the identity component. The model places and their local data
-are found once per curve (place_table).
+are found once per curve (place_table); off them the model is good and
+integral, so a pole of x is read off v(x) with no local data.
 """
 
 from __future__ import annotations
@@ -55,43 +58,20 @@ def bad_places(E: Curve) -> list[PrimeIdeal]:
     return [pr for pr, ld in place_table(E).items() if not ld.is_good]
 
 
-def fibral_coefficient(ld: LocalData, jq: int, jr: int) -> Fraction:
-    """Coefficient a_{jr}(F_Q) of the fibral divisor for Q on component jq."""
-    if jq == 0 or jr == 0:
-        return Fraction(0)
-    t = ld.kodaira
-    if ld.is_multiplicative:
-        n = ld.n
-        return Fraction(min(jr * (n - jq), jq * (n - jr)), n)
-    if t == "III":
-        return Fraction(1, 2)
-    if t == "III*":
-        return Fraction(3, 2)
-    if t == "IV":
-        return Fraction(2, 3) if jq == jr else Fraction(1, 3)
-    if t == "IV*":
-        return Fraction(4, 3) if jq == jr else Fraction(2, 3)
-    if t.endswith("*"):
-        # I0* is the n = 0 case of In*
-        n = ld.n
-        rows = {
-            1: (Fraction(1), Fraction(1, 2), Fraction(1, 2)),
-            2: (Fraction(1, 2), Fraction(n + 4, 4), Fraction(n + 2, 4)),
-            3: (Fraction(1, 2), Fraction(n + 2, 4), Fraction(n + 4, 4)),
-        }
-        return rows[jq][jr - 1]
-    if t not in ("II", "II*"):
-        raise RuntimeError(f"no fibral coefficients for Kodaira type {t}")
-    return Fraction(0)
-
-
-def _denominator_places(K: QuadField, pts: list[Point]) -> set[PrimeIdeal]:
+def _poles(K: QuadField, table: dict, pts: tuple[Point, ...]) -> dict[PrimeIdeal, list[int]]:
+    """{pr: [min(v(x), 0) for each point]} at the places off table where the
+    x of some point has a pole; O and x = 0 read 0. Only the primes under
+    the denominators of the x are tried, so no (often huge) numerator is
+    factored."""
     xs = [P.x for P in pts if not P.is_zero() and P.x]
-    # only places with v(x) < 0 matter; those divide the coordinate
-    # denominators, so the (often huge) numerator is never factored
-    ells = set().union(*(factorint(x.D) for x in xs))
-    return {pr for ell in ells for pr in primes_above(K, ell)
-            if any(pr.val(x) < 0 for x in xs)}
+    out = {}
+    for ell in set().union(*(factorint(x.D) for x in xs)):
+        for pr in primes_above(K, ell):
+            if pr not in table:
+                ws = [0 if P.is_zero() or not P.x else min(pr.val(P.x), 0) for P in pts]
+                if any(ws):
+                    out[pr] = ws
+    return out
 
 
 def log_pairing(E: Curve, Q: Point, R: Point) -> LogDivisor:
@@ -106,23 +86,26 @@ def log_pairing(E: Curve, Q: Point, R: Point) -> LogDivisor:
     S = Q + R
     E.check(S)
     table = place_table(E)
-    # a pole place off the table is looked up per call, and not kept
-    poles = [(pr, tate(E, pr)) for pr in _denominator_places(K, [Q, R, S]) if pr not in table]
-    places = sorted([*table.items(), *poles], key=lambda it: it[0].sort_key()) \
-        if poles else table.items()
+    same = Q == R
     coeffs = {}
-    for pr, ld in places:
+    for pr, ld in table.items():
         # 2e(T) = -min(v(x'), 0), and 2e(O) = 2v(u)
-        wQ, wR = e_entry(ld, Q), e_entry(ld, R)
+        wQ = e_entry(ld, Q)
+        wR = wQ if same else e_entry(ld, R)
         eS2 = 2 * ld.vu if S.is_zero() else -min(e_entry(ld, S), 0)
         val = Fraction(eS2 + min(wQ, 0) + min(wR, 0) + 2 * ld.vu, 2)
         if wQ >= 1 and wR >= 1 and not ld.is_good:
             # each point mapped onto curve_min once, its check done above
             jq = component_index(ld, ld._image(Q))
-            jr = component_index(ld, ld._image(R))
-            val -= fibral_coefficient(ld, jq, jr)
+            jr = jq if same else component_index(ld, ld._image(R))
+            val -= ld.phi.fibral(jq, jr)
         if val:
             coeffs[pr] = val
+    # off the table the model is integral at pr with v(disc) = 0, so urst = 1
+    # and v(x') = v(x): only the poles count there
+    for pr, (wQ, wR, wS) in _poles(K, table, (Q, R, S)).items():
+        if wQ + wR != wS:
+            coeffs[pr] = Fraction(wQ + wR - wS, 2)
     return LogDivisor(K, coeffs)
 
 
@@ -132,11 +115,11 @@ def monodromy_pairing(ld: LocalData, Q: Point, R: Point, source: Curve) -> Fract
         return Fraction(0)
     jq = component_index(ld, ld.map_point(Q, source))
     jr = component_index(ld, ld.map_point(R, source))
-    c = -fibral_coefficient(ld, jq, jr)
+    c = -ld.phi.fibral(jq, jr)
     return c - (c.numerator // c.denominator)
 
 
 def pairing_group(E: Curve) -> LogPic:
     """The group where values of the pairing on E live."""
-    mults = {pr: ld.comp_order for pr, ld in place_table(E).items() if not ld.is_good}
+    mults = {pr: ld.phi.order for pr, ld in place_table(E).items() if not ld.is_good}
     return LogPic(E.field, mults)

@@ -1,5 +1,6 @@
-"""Tate's algorithm at a finite place, and component indices of points on
-the special fiber of the minimal regular model.
+"""Tate's algorithm at a finite place, the component group Phi_v of the
+special fiber of the minimal regular model, and component indices of points
+on that fiber.
 
 Works over Q and over quadratic fields at any residue characteristic.
 A bad place of odd characteristic with v(c4) = 0 is read off the invariants
@@ -13,15 +14,71 @@ type I0* by Cantor-Zassenhaus, and the split test of multiplicative
 reduction asks whether b2 is a square. The residue field is scanned only in
 characteristic 2, where q <= 4 (singular point, quadratics, split test,
 P(T)).
+
+Phi_v is one object, ComponentGroup, read off (kodaira, n) alone: the
+number of components, #Phi(kbar), the group law on the labels of
+component_index and the fibral table of pairing.log_pairing. LocalData.phi
+builds it on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 from .ellcurve import Curve, Point, coordinate_change, map_coords
 from .qfield import PrimeIdeal, ResidueField, hensel_root, reduce_mod
+
+# (components, #Phi(kbar)) of the types other than In and In*
+_SHAPES = {"I0": (1, 1), "II": (1, 1), "III": (2, 2), "IV": (3, 3),
+           "IV*": (7, 3), "III*": (8, 2), "II*": (9, 1)}
+
+
+class ComponentGroup:
+    """Phi_v over kbar for a Kodaira type and its index n, on the labels of
+    component_index: Z/n for In; Z/3 for IV and IV* and Z/2 for III and III*,
+    by label; (Z/2)^2 for In* with n even (I0* included), where the labels
+    1..3 add as 2-bit vectors; Z/4 for In* with n odd, where the near end 1
+    has order 2; trivial for I0, II and II*."""
+
+    def __init__(self, kodaira: str, n: int):
+        self.kodaira, self.n = kodaira, n
+        if kodaira.endswith("*") and kodaira[1:-1].isdigit():
+            self.ncomp, self.order = n + 5, 4
+            # label -> element of Z/4, an involution; None for (Z/2)^2
+            self._z = (0, 2, 1, 3) if n % 2 else None
+        else:
+            self.ncomp, self.order = _SHAPES.get(kodaira, (n, n))
+            self._z = range(self.order)
+
+    def add(self, i: int, j: int) -> int:
+        z = self._z
+        return i ^ j if z is None else z[(z[i] + z[j]) % self.order]
+
+    def neg(self, i: int) -> int:
+        z = self._z
+        return i if z is None else z[-z[i] % self.order]
+
+    def fibral(self, i: int, j: int) -> Fraction:
+        """a_j(F_Q) for Q on component i: the coefficient at component j of
+        the fibral divisor F_Q that makes [Q] - [O] + F_Q orthogonal to every
+        component. -fibral(i, j) mod Z is the monodromy pairing on Phi_v
+        (SGA 7, IX), symmetric and bilinear under add."""
+        if i == 0 or j == 0:
+            return Fraction(0)
+        t, n = self.kodaira, self.n
+        if t[1:].isdigit():
+            return Fraction(min(j * (n - i), i * (n - j)), n)
+        if t in ("III", "III*"):
+            return Fraction(1 if t == "III" else 3, 2)
+        if t in ("IV", "IV*"):
+            return Fraction((2 if i == j else 1) * (1 if t == "IV" else 2), 3)
+        # In*: 1 the near end, 2 and 3 the far ends
+        if 1 in (i, j):
+            return Fraction(1) if i == j else Fraction(1, 2)
+        return Fraction(n + 4 if i == j else n + 2, 4)
+
 
 @dataclass
 class LocalData:
@@ -34,13 +91,13 @@ class LocalData:
     curve_min and urst are built on first use, by the same walk that every
     other place takes at once. The properties past the model are the
     per-place constants of map_point and component_index, each computed on
-    first use, so once per place."""
+    first use, so once per place. The component group Phi_v (components,
+    #Phi(kbar), its law and the fibral table) is phi, a ComponentGroup read
+    off (kodaira, n) on first use."""
 
     prime: PrimeIdeal
     kodaira: str              # "I0", "I5", "II", ..., "I3*"
     n: int                    # index for In / In*, else 0
-    ncomp: int                # components of the special fiber over kbar
-    comp_order: int           # #Phi(kbar)
     c: int                    # Tamagawa number #Phi(k)
     split: bool | None        # for multiplicative reduction
     vdisc: int                # v(disc of minimal model)
@@ -75,10 +132,12 @@ class LocalData:
 
     @property
     def f(self) -> int:
-        # Ogg-Saito
-        if self.kodaira == "I0":
-            return 0
-        return self.vdisc - self.ncomp + 1
+        # Ogg-Saito; 0 at I0, where vdisc = 0 and there is one component
+        return self.vdisc - self.phi.ncomp + 1
+
+    @cached_property
+    def phi(self) -> ComponentGroup:
+        return ComponentGroup(self.kodaira, self.n)
 
     @property
     def is_good(self) -> bool:
@@ -192,8 +251,8 @@ def _singular_point(E: Curve, k: ResidueField):
 
 
 def _multiplicative(n: int, split: bool) -> tuple:
-    """(kodaira, n, ncomp, comp_order, c, split) of type In."""
-    return f"I{n}", n, n, n, n if split else 2 - n % 2, split
+    """(kodaira, n, c, split) of type In."""
+    return f"I{n}", n, n if split else 2 - n % 2, split
 
 
 def _clear(E: Curve, pr: PrimeIdeal) -> tuple:
@@ -244,15 +303,15 @@ def _walk(E: Curve, urst: tuple, pr: PrimeIdeal) -> LocalData:
         E = E.transform(*step)
         urst = _compose_urst(urst, step)
 
-    def done(kodaira, n, ncomp, comp_order, c, split=None, branches=()):
-        ld = LocalData(pr, kodaira, n, ncomp, comp_order, c, split,
+    def done(kodaira, n, c, split=None, branches=()):
+        ld = LocalData(pr, kodaira, n, c, split,
                        v(E.disc), v(urst[0]), branches)
         ld._model = (E, urst)
         return ld
 
     while True:
         if v(E.disc) == 0:
-            return done("I0", 0, 1, 1, 1)
+            return done("I0", 0, 1)
 
         # move the singular point to (0,0)
         x0, y0 = _singular_point(E, k)
@@ -271,12 +330,12 @@ def _walk(E: Curve, urst: tuple, pr: PrimeIdeal) -> LocalData:
             return done(*_multiplicative(v(E.disc), split))
 
         if v(E.a6) < 2:
-            return done("II", 0, 1, 1, 1)
+            return done("II", 0, 1)
         if v(E.b8) < 3:
-            return done("III", 0, 2, 2, 2)
+            return done("III", 0, 2)
         if v(E.b6) < 3:
             rts = _k_roots(k, [-E.a6 / pi ** 2, E.a3 / pi, one])
-            return done("IV", 0, 3, 3, 3 if len(rts) == 2 else 1, branches=("y", 1, rts))
+            return done("IV", 0, 3 if len(rts) == 2 else 1, branches=("y", 1, rts))
 
         # normalize: v(a1) >= 1, v(a2) >= 1, v(a3) >= 2, v(a4) >= 2, v(a6) >= 3
         if k.ell != 2:
@@ -297,7 +356,7 @@ def _walk(E: Curve, urst: tuple, pr: PrimeIdeal) -> LocalData:
         mult_roots = _k_poly_gcd_roots(k, Pc)
         if not mult_roots:
             rts = _k_roots(k, Pc)
-            return done("I0*", 0, 5, 4, 1 + len(rts), branches=("x", 1, rts))
+            return done("I0*", 0, 1 + len(rts), branches=("x", 1, rts))
 
         r0 = mult_roots[0]
         # test triple root: P(T) = (T - r0)^3 iff P'' (r0) = 0 too
@@ -321,7 +380,7 @@ def _walk(E: Curve, urst: tuple, pr: PrimeIdeal) -> LocalData:
                 if not dbl:
                     c = 4 if len(rts) == 2 else 2
                     last = ("y", my) if n % 2 == 1 else ("x", mx)
-                    return done(f"I{n}*", n, n + 5, 4, c, branches=(*last, rts))
+                    return done(f"I{n}*", n, c, branches=(*last, rts))
                 if n % 2 == 1:
                     apply(one, K.zero(), K.zero(), pi ** my * k.lift(dbl[0]))
                     my += 1
@@ -336,13 +395,13 @@ def _walk(E: Curve, urst: tuple, pr: PrimeIdeal) -> LocalData:
         rts = _k_roots(k, quad)
         dbl = _k_poly_gcd_roots(k, quad)
         if not dbl:
-            return done("IV*", 0, 7, 3, 3 if len(rts) == 2 else 1, branches=("y", 2, rts))
+            return done("IV*", 0, 3 if len(rts) == 2 else 1, branches=("y", 2, rts))
         apply(one, K.zero(), K.zero(), pi ** 2 * k.lift(dbl[0]))
         _check(v(E.a3) >= 3 and v(E.a6) >= 5, "the double root of the IV* quadratic did not move to 0", pr)
         if v(E.a4) < 4:
-            return done("III*", 0, 8, 2, 2)
+            return done("III*", 0, 2)
         if v(E.a6) < 6:
-            return done("II*", 0, 9, 1, 1)
+            return done("II*", 0, 1)
         # non-minimal: scale down and restart
         apply(pi, K.zero(), K.zero(), K.zero())
 
@@ -405,7 +464,7 @@ def component_index(ld: LocalData, Pm: Point) -> int:
     tables: In*: 1 = near end, 2/3 = far ends; IV/IV*: 1/2 the two
     branches; III/III*: 1 the non-identity end; I0*: 1..3 the legs.
     """
-    if Pm.is_zero() or not _at_singular_point(ld, Pm):
+    if Pm.is_zero() or ld.phi.order == 1 or not _at_singular_point(ld, Pm):
         return 0
     v = ld.prime.val
     k = ld.residue_field
@@ -426,8 +485,6 @@ def component_index(ld: LocalData, Pm: Point) -> int:
         assert 1 <= j <= n - 1
         return j
 
-    if t in ("II", "II*"):
-        return 0
     if t in ("III", "III*"):
         return 1
     coord, e, rts = ld.branches

@@ -6,7 +6,7 @@ from logdescent import tate
 from logdescent.ellcurve import curve_from_rational
 from logdescent.qfield import make_field
 
-LD_FIELDS = ("kodaira", "n", "ncomp", "comp_order", "c", "split", "vdisc", "vu", "branches")
+LD_FIELDS = ("kodaira", "n", "c", "split", "vdisc", "vu", "branches")
 
 
 @pytest.fixture(scope="session")

@@ -29,7 +29,8 @@ if __name__ == "__main__":
 from logdescent import descent, isogeny
 from logdescent.ellcurve import curve_from_rational
 from logdescent.ideals import class_group
-from logdescent.qfield import format_element, make_field
+from logdescent.pairing import bad_places
+from logdescent.qfield import format_element, make_field, primes_above
 
 GOLDEN = Path(__file__).resolve().parent / "goldens" / "census.txt"
 WINDOW = 300
@@ -61,7 +62,8 @@ def _field_line(m: int) -> str:
     return f"field {m} fb=[{fb}] div={cg.divisors} U={cg.coker.U} Uinv={cg.coker.Uinv}"
 
 
-def _descent_line(m: int, label: str) -> str:
+def _descent_line(m: int, label: str, done: list) -> str:
+    """The census line of one descent; (ctx, sel, dual) is appended to done."""
     ainvs, p, (px, py) = ISOGENIES[label]
     K = make_field(m)
     try:
@@ -70,6 +72,7 @@ def _descent_line(m: int, label: str) -> str:
         sel = descent.selmer_phi(ctx)
         dual = descent.selmer_phihat_dim(ctx, sel)
         selp = descent.sel_p_dim_if_applicable(ctx, sel)
+        done.append((ctx, sel, dual))
         basis = [format_element(x) for x in sel.basis_elements()]
         out = (f"S1={len(ctx.S1)} S2={len(ctx.S2)} sel={sel.dim} dual={dual} "
                f"selp={selp} basis={basis} cl={class_group(K).divisors}")
@@ -78,22 +81,23 @@ def _descent_line(m: int, label: str) -> str:
     return f"descent {m} {label} {out}"
 
 
-def census_text() -> str:
+def census_text(done: list) -> str:
     lines = []
     for m in census_fields():
         lines.append(_field_line(m))
-        lines.extend(_descent_line(m, label) for label in ISOGENIES)
+        lines.extend(_descent_line(m, label, done) for label in ISOGENIES)
     return "\n".join(lines) + "\n"
 
 
 @pytest.fixture(scope="module")
 def census_run():
-    """The census text, and the local data of every Tate call it makes:
-    the run starts from an empty Tate cache and keeps what it fills."""
+    """The census text, the local data of every Tate call it makes (the run
+    starts from an empty Tate cache and keeps what it fills), and the
+    (ctx, sel, dual) of every descent that did not raise."""
     with pytest.MonkeyPatch.context() as mp:
-        cache = {}
+        cache, done = {}, []
         mp.setattr(isogeny, "_TATE_CACHE", cache)
-        return census_text(), cache
+        return census_text(done), cache, done
 
 
 def test_census_matches_golden(census_run):
@@ -114,6 +118,27 @@ def test_census_tate_calls_match_the_walk(census_run, matches_walk):
         matches_walk(ld, E, pr)
 
 
+def _ord(c: int, p: int) -> int:
+    return 0 if c % p else 1 + _ord(c // p, p)
+
+
+def test_census_duality_matches_cassels(census_run):
+    # Cassels; Greenberg-Wiles: for phi: E -> E' with E[phi] = mu_p,
+    # dim Sel^phi - dim Sel^phihat = dim mu_p(K) - 1 - r_2
+    #   + sum_v (ord_p c_v(E') - ord_p c_v(E)) + sum_{v | p} f_v a_v(phi),
+    # read off Tamagawa numbers and Neron scalings alone
+    for ctx, sel, dual in census_run[2]:
+        K, p, E, E2 = ctx.field, ctx.p, ctx.E, ctx.Eprime
+        rhs = int(p == 3 and K.radicand == -3) - 1 - int(K.disc < 0)
+        for pr in {*bad_places(E), *bad_places(E2)}:
+            rhs += _ord(isogeny.tate(E2, pr).c, p) - _ord(isogeny.tate(E, pr).c, p)
+        z2 = K(p * p) / ctx.phihat.z_squared
+        for pr in primes_above(K, p):
+            rhs += pr.f * isogeny.neron_scaling(z2, isogeny.tate(E, pr), isogeny.tate(E2, pr))
+        assert sel.dim - dual == rhs, (K.disc, p, E2)
+    assert len(census_run[2]) > 1000
+
+
 def test_census_window():
     fields = census_fields()
     assert len(fields) == 365
@@ -124,5 +149,5 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: python tests/test_census.py --record")
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(census_text())
+    GOLDEN.write_text(census_text([]))
     print(f"wrote {GOLDEN}")

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import logdescent
 from logdescent.cli import main
+from logdescent.descent import quadratic_point_search
 from logdescent.ellcurve import Curve
 from logdescent.pairing import log_pairing, pairing_group
 from logdescent.qfield import format_element, make_field
@@ -50,6 +51,21 @@ def test_cli_workload_commands_match_their_goldens(capsys, name, fmt):
     code, out, err = _run(capsys, WORKLOADS.cli_argv(name, fmt))
     assert code == 0, err
     assert out.encode() == WORKLOADS.golden_path(name, fmt).read_bytes()
+
+
+def test_search_matches_its_golden():
+    # quadratic_point_search on the benchmark's three curves gives the rows
+    # of perfbench/goldens/search.json, which this test only reads
+    want = json.loads(WORKLOADS.SEARCH_GOLDEN.read_text())
+    for label, (E, P, p, xbound) in WORKLOADS.search_inputs().items():
+        assert WORKLOADS.search_rows(quadratic_point_search(E, P, p, xbound)) == want[label], label
+
+
+def test_readme_command_under_optimize_matches_its_golden():
+    # python -O strips asserts; the README pairing command prints its golden bytes
+    proc = _run_optimized(WORKLOADS.cli_argv("pairing", "text"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.encode() == WORKLOADS.golden_path("pairing", "text").read_bytes()
 
 
 def test_classify_json_schema(capsys):

@@ -256,7 +256,8 @@ def test_selmer_dims_over_q():
     ctx35 = _ctx_35a(None)
     sel35 = selmer_phi(ctx35)
     assert sel35.dim == 1 and [str(x) for x in sel35.basis_elements()] == ["7"]
-    assert selmer_phihat_dim(ctx35, sel35) == 1
+    # (5) is backward and non-split with 5 = -1 mod 3: O_v^*/3 = 0, so n_v = 0
+    assert selmer_phihat_dim(ctx35, sel35) == 0
     assert sel_p_dim_if_applicable(ctx35, sel35) is None
     assert ctx35.torsion().dim == 1
 
@@ -268,7 +269,7 @@ def test_duality_identity_with_nonempty_s2():
     # backward non-split multiplicative place: H^1(O_v, mu_p) = 0, so the
     # localization matrix has no columns at all
     assert all(len(row) == 0 for row in sel.matrix)
-    assert selmer_phihat_dim(ctx, sel) == 1
+    assert selmer_phihat_dim(ctx, sel) == 0
 
 
 def test_psi_values_sqrt_m47():

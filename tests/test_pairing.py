@@ -11,16 +11,16 @@ from logdescent.ellcurve import Curve, Point
 from logdescent.isogeny import tate
 from logdescent.logpic import LogDivisor
 from logdescent.pairing import (
-    _denominator_places,
+    _poles,
     bad_places,
-    fibral_coefficient,
     log_pairing,
     model_places,
     monodromy_pairing,
     pairing_group,
+    place_table,
 )
 from logdescent.qfield import make_field, primes_above
-from logdescent.tate import LocalData, component_index
+from logdescent.tate import ComponentGroup, LocalData, component_index
 from test_model_change import SCALED_158, _changed, _changes
 
 
@@ -68,57 +68,75 @@ def _solve_fibral(edges, nc, jq):
     return a
 
 
-class _FakeLD:
-    def __init__(self, kodaira, n, is_mult):
-        self.kodaira = kodaira
-        self.n = n
-        self.is_multiplicative = is_mult
+def _check_monodromy_pairing(G):
+    """-G.fibral mod Z is symmetric and bilinear under G.add (SGA 7, IX),
+    and G.neg inverts; the labels of Phi_v are 0..#Phi - 1."""
+    def pair(i, j):
+        return -G.fibral(i, j) % 1
+    labels = range(G.order)
+    for i in labels:
+        assert G.add(i, G.neg(i)) == 0, (G.kodaira, i)
+        for j in labels:
+            assert pair(i, j) == pair(j, i), (G.kodaira, i, j)
+            for k in labels:
+                assert pair(G.add(i, k), j) == (pair(i, j) + pair(k, j)) % 1, (G.kodaira, i, k, j)
 
 
 def test_fibral_table_In_against_intersections():
     for n in [2, 3, 5, 8, 20]:
         edges = [(i, (i + 1) % n, 1) for i in range(n)] if n > 2 else [(0, 1, 2)]
-        ld = _FakeLD(f"I{n}", n, True)
+        G = ComponentGroup(f"I{n}", n)
+        assert (G.ncomp, G.order) == (n, n)
         for jq in range(1, n):
             a = _solve_fibral(edges, n, jq)
             for jr in range(1, n):
-                assert fibral_coefficient(ld, jq, jr) == a[jr]
+                assert G.fibral(jq, jr) == a[jr]
+        _check_monodromy_pairing(G)
 
 
 def test_fibral_table_III_IV_against_intersections():
     a = _solve_fibral([(0, 1, 2)], 2, 1)
-    assert fibral_coefficient(_FakeLD("III", 0, False), 1, 1) == a[1] == Fraction(1, 2)
+    III, IV = ComponentGroup("III", 0), ComponentGroup("IV", 0)
+    assert III.fibral(1, 1) == a[1] == Fraction(1, 2)
     tri = [(0, 1, 1), (1, 2, 1), (0, 2, 1)]
     for jq in (1, 2):
         a = _solve_fibral(tri, 3, jq)
         for jr in (1, 2):
-            assert fibral_coefficient(_FakeLD("IV", 0, False), jq, jr) == a[jr]
+            assert IV.fibral(jq, jr) == a[jr]
+    for G in (III, IV, *(ComponentGroup(t, 0) for t in ("I0", "II", "II*"))):
+        _check_monodromy_pairing(G)
 
 
 def test_fibral_table_star_types_against_intersections():
     # In*: legs 0,1 at one end, 2,3 at the other end of a chain of doubles
-    for n in range(0, 6):
+    for n in range(0, 7):
         last = 4 + n
         edges = [(0, 4, 1), (1, 4, 1), (2, last, 1), (3, last, 1)]
         edges += [(i, i + 1, 1) for i in range(4, last)]
-        ld = _FakeLD("I0*" if n == 0 else f"I{n}*", n, False)
+        G = ComponentGroup(f"I{n}*", n)
+        assert (G.ncomp, G.order) == (last + 1, 4)
         for jq in (1, 2, 3):
             a = _solve_fibral(edges, last + 1, jq)
             for jr in (1, 2, 3):
-                assert fibral_coefficient(ld, jq, jr) == a[jr]
+                assert G.fibral(jq, jr) == a[jr]
+        _check_monodromy_pairing(G)
     # IV*: three arms of length 2 around the triple component 6
     edges = [(0, 3, 1), (3, 6, 1), (1, 4, 1), (4, 6, 1), (2, 5, 1), (5, 6, 1)]
+    G = ComponentGroup("IV*", 0)
     for jq in (1, 2):
         a = _solve_fibral(edges, 7, jq)
         assert a[3:] == [Fraction(1), Fraction(5, 3), Fraction(4, 3), Fraction(2)] or jq == 2
         for jr in (1, 2):
-            assert fibral_coefficient(_FakeLD("IV*", 0, False), jq, jr) == a[jr]
+            assert G.fibral(jq, jr) == a[jr]
+    _check_monodromy_pairing(G)
     # III*: chain 0,2,4,6,5,3,1 with 7 hanging off 6
     edges = [(0, 2, 1), (2, 4, 1), (4, 6, 1), (6, 5, 1), (5, 3, 1), (3, 1, 1), (7, 6, 1)]
     a = _solve_fibral(edges, 8, 1)
     assert a[1] == Fraction(3, 2)
     assert a[2:] == [Fraction(1), Fraction(2), Fraction(2), Fraction(5, 2), Fraction(3), Fraction(3, 2)]
-    assert fibral_coefficient(_FakeLD("III*", 0, False), 1, 1) == Fraction(3, 2)
+    G = ComponentGroup("III*", 0)
+    assert G.fibral(1, 1) == Fraction(3, 2)
+    _check_monodromy_pairing(G)
 
 
 def test_quadratic_example_reduction_types(worked_curves):
@@ -155,7 +173,8 @@ def test_quadratic_example_pairing_values(worked_curves):
 
 def test_log_pairing_maps_each_point_once_per_place(worked_curves, monkeypatch):
     # a point is mapped onto curve_min at most once per place, and only at a
-    # bad place where its image has v(x') >= 1, i.e. meets the singular point
+    # bad place where its image has v(x') >= 1, i.e. meets the singular point;
+    # <P, P> reuses the image and the label of P
     E, P, (Q,) = worked_curves["158"]
     maps = Counter()
     image = LocalData._image
@@ -165,7 +184,7 @@ def test_log_pairing_maps_each_point_once_per_place(worked_curves, monkeypatch):
         return image(ld, pt)
     monkeypatch.setattr(LocalData, "_image", counted)
     bad = bad_places(E)
-    for R in (Q, P * 2, Q + P, Q * 2):
+    for R in (P, Q, P * 2, Q + P, Q * 2):
         maps.clear()
         log_pairing(E, P, R)
         assert max(maps.values(), default=1) == 1
@@ -218,7 +237,7 @@ def test_log_pairing_evaluates_the_equation_at_most_three_times(worked_curves, m
     monkeypatch.setattr(Curve, "is_on", counted)
     log_pairing(E, Q, R)
     assert sum(calls.values()) <= 3
-    assert len(model_places(E) | _denominator_places(E.field, [Q, R, Q + R])) >= 3
+    assert len(model_places(E) | set(_poles(E.field, place_table(E), (Q, R, Q + R)))) >= 3
 
 
 def test_log_pairing_rejects_a_point_off_the_curve(worked_curves):
@@ -265,7 +284,7 @@ def test_log_pairing_matches_the_checked_path(worked_curves, label, coeffs, urst
         return
     S = Q + R
     K = E.field
-    places = model_places(E) | _denominator_places(K, [Q, R, S])
+    places = model_places(E) | set(_poles(K, place_table(E), (Q, R, S)))
     assert set(val.coeffs) <= places
     for pr in places:
         ld = tate(E, pr)
@@ -273,7 +292,7 @@ def test_log_pairing_matches_the_checked_path(worked_curves, label, coeffs, urst
         want = (_e_on_curve_min(ld, Sm) - _e_on_curve_min(ld, Qm) - _e_on_curve_min(ld, Rm)
                 + Fraction(ld.vu if S.is_zero() else 0) + ld.vu)
         if not ld.is_good:
-            want -= fibral_coefficient(ld, component_index(ld, Qm), component_index(ld, Rm))
+            want -= ld.phi.fibral(component_index(ld, Qm), component_index(ld, Rm))
         assert val.coeffs.get(pr, 0) == want, (label, coeffs, urst, pr)
 
 
