@@ -57,8 +57,9 @@ class DescentContext:
     def _classify(self) -> list[PlaceClassification]:
         K = self.field
         # a good place away from p adds nothing to S_1, S_2 or the hypotheses,
-        # so the table is the same on every model of E and E'
-        supp = {*primes_above(K, self.p), *bad_places(self.E), *bad_places(self.Eprime)}
+        # so the table is the same on every model of E and E'; isogenous
+        # curves have the same bad places, so E' alone gives them
+        supp = {*primes_above(K, self.p), *bad_places(self.Eprime)}
         z2_phi = K(self.p * self.p) / self.phihat.z_squared
         return [classify_place(self.E, self.Eprime, z2_phi, pr, self.p)
                 for pr in sorted(supp, key=lambda q: q.sort_key())]

@@ -21,7 +21,7 @@ class LogDivisor:
 
     def __init__(self, field: QuadField, coeffs: dict[PrimeIdeal, Fraction] | None = None):
         self.field = field
-        self.coeffs = {p: Fraction(a) for p, a in (coeffs or {}).items() if a != 0}
+        self.coeffs = {p: a for p, a in (coeffs or {}).items() if a != 0}
 
     def __add__(self, other: "LogDivisor") -> "LogDivisor":
         d = dict(self.coeffs)

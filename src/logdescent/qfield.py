@@ -691,45 +691,15 @@ class ResidueField:
             acc = self.mul(acc, zeta)
         raise RuntimeError("value not in mu_p of the residue field")
 
-    # -- square roots and polynomial roots over the residue field -----------
-
-    def sqrt(self, x):
-        """A square root of the square x; ValueError for a non-square.
-
-        At ell = 2 it is x^(q/2). At odd ell and f = 1 it is sqrt_mod. At
-        f = 2, s = 2*wbar - tr has s^2 = d, a non-square of F_ell, and
-        x = A + B*s has the root C + E*s, where C^2 is whichever of
-        (A +- sqrt(N(x)))/2 is a square of F_ell and E = B/(2C); for B = 0
-        the root is sqrt(A) or sqrt(A/d)*s."""
-        ell = self.ell
-        if ell == 2:
-            return self.pow(x, self.q // 2)
-        if self.f == 1:
-            return sqrt_mod(x, ell)
-        half = (ell + 1) // 2
-        A, B = (x[0] + x[1] * self.tr * half) % ell, x[1] * half % ell
-        if B:
-            n = sqrt_mod(self._norm(x), ell)
-            C2 = (A + n) * half % ell
-            if pow(C2, (ell - 1) // 2, ell) == ell - 1:
-                C2 = (A - n) * half % ell
-            C = sqrt_mod(C2, ell)
-            E = B * pow(2 * C, -1, ell) % ell
-        elif pow(A, (ell - 1) // 2, ell) != ell - 1:
-            C, E = sqrt_mod(A, ell), 0
-        else:
-            C, E = 0, sqrt_mod(A * pow(self.tr * self.tr - 4 * self.nm, -1, ell), ell)
-        # C + E*s = (C - E*tr) + 2E*wbar
-        return (C - E * self.tr) % ell, 2 * E % ell
+    # -- polynomial roots over the residue field ----------------------------
 
     def roots(self, coeffs: list) -> list:
         """The distinct roots in the residue field, sorted, of the poly with
         the given coefficients (constant first, elements of this field).
 
         Degree 1 is -c0/c1. At ell = 2, where q <= 4, the field is scanned.
-        At odd ell, degree 2 is solved from the square roots of its
-        discriminant (sqrt), and higher degrees are split by Cantor-Zassenhaus.
-        Sorted order is elements() order."""
+        At odd ell, every higher degree is split by Cantor-Zassenhaus. Sorted
+        order is elements() order."""
         cs = list(coeffs)
         while cs and self.is_zero(cs[-1]):
             cs.pop()
@@ -739,14 +709,6 @@ class ResidueField:
             return [self.mul(self.neg(cs[0]), self.inv(cs[1]))]
         if self.ell == 2:
             return [x for x in self.elements() if self.is_zero(self._eval(cs, x))]
-        if len(cs) == 3:
-            c0, c1, c2 = cs
-            d = self.sub(self.mul(c1, c1), self.mul(self.from_int(4), self.mul(c0, c2)))
-            if not self.is_square(d):
-                return []
-            s, inv = self.sqrt(d), self.inv(self.add(c2, c2))
-            return sorted({self.mul(self.sub(s, c1), inv),
-                           self.mul(self.neg(self.add(s, c1)), inv)})
         return self._cantor_zassenhaus(cs)
 
     def _eval(self, cs, x):

@@ -9,11 +9,11 @@ minimal model only when that is read (LocalData); every other place walks
 at once.
 
 In odd characteristic no residue field is scanned: ResidueField.roots is
-closed-form for linear polys and quadratics and splits the cubic P(T) of
-type I0* by Cantor-Zassenhaus, and the split test of multiplicative
-reduction asks whether b2 is a square. The residue field is scanned only in
-characteristic 2, where q <= 4 (singular point, quadratics, split test,
-P(T)).
+closed-form for linear polys and splits every higher degree (the quadratics
+of types IV, IV*, In* and the cubic P(T) of type I0*) by Cantor-Zassenhaus,
+and the split test of multiplicative reduction asks whether b2 is a square.
+The residue field is scanned only in characteristic 2, where q <= 4
+(singular point, quadratics, split test, P(T)).
 
 Phi_v is one object, ComponentGroup, read off (kodaira, n) alone: the
 number of components, #Phi(kbar), the group law on the labels of
@@ -344,9 +344,10 @@ def _walk(E: Curve, urst: tuple, pr: PrimeIdeal) -> LocalData:
             t1 = k.lift(k.neg(k.mul(k.reduce(E.a3 / pi), k.inv(k.from_int(2)))))
             apply(one, K.zero(), K.zero(), pi * t1)
         else:
-            s = k.lift(k.sqrt(k.reduce(E.a2)))
+            # x -> x^(q/2) is the square root of the characteristic-2 field
+            s = k.lift(k.pow(k.reduce(E.a2), k.q // 2))
             apply(one, K.zero(), s, K.zero())
-            t1 = k.lift(k.sqrt(k.reduce(E.a6 / pi ** 2)))
+            t1 = k.lift(k.pow(k.reduce(E.a6 / pi ** 2), k.q // 2))
             apply(one, K.zero(), K.zero(), pi * t1)
         _check(v(E.a1) >= 1 and v(E.a2) >= 1 and v(E.a3) >= 2 and v(E.a4) >= 2 and v(E.a6) >= 3,
                "the model did not normalize for P(T)", pr)

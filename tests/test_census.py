@@ -8,6 +8,14 @@ descent gives one line with #S_1, #S_2, dim Sel^phi, dim Sel^phihat,
 sel_p_dim_if_applicable, the Selmer basis and the class-group divisors, or
 the type and message of the exception it raised.
 
+Three worked contexts add their printed local and pairing answers: one
+``classify`` line per place (Kodaira types of E and E', direction, a_phi,
+a_phihat, c and c'), and for each Mordell-Weil generator G and each
+X = a G + b P with a in {1, 2} and 0 <= b < p one ``pairing`` line with
+log_pairing(E', X, G) as (place, coefficient) pairs, its class coordinates
+in pairing_group(E') and psi_vector(X), 36 lines in all. The point set is
+fixed: a later change may add to it but never narrow it.
+
 A change that means to alter an answer re-records the golden with
 
     python tests/test_census.py --record
@@ -19,6 +27,7 @@ from __future__ import annotations
 
 import difflib
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -29,7 +38,7 @@ if __name__ == "__main__":
 from logdescent import descent, isogeny
 from logdescent.ellcurve import curve_from_rational
 from logdescent.ideals import class_group
-from logdescent.pairing import bad_places
+from logdescent.pairing import bad_places, log_pairing, pairing_group
 from logdescent.qfield import format_element, make_field, primes_above
 
 GOLDEN = Path(__file__).resolve().parent / "goldens" / "census.txt"
@@ -39,6 +48,13 @@ ISOGENIES = {
     "11a1": ((0, -1, 1, -10, -20), 5, (5, 5)),
     "35a": ((0, 1, 1, 9, 1), 3, (1, 3)),
     "158": ((1, 1, 1, -420, 3109), 5, (13, -15)),
+}
+# label: (m, Mordell-Weil generators G other than P over Q(sqrt(m)), each as
+# ((x_a, x_b), (y_a, y_b)) with x = x_a + x_b sqrt(m))
+WORKED = {
+    "11a1": (-47, [((4, 0), (F(-1, 2), F(1, 2))), ((-2, 0), (F(-1, 2), F(1, 2)))]),
+    "158": (-79, [((F(101, 9), 0), (F(-55, 9), F(16, 27)))]),
+    "35a": (2, [((F(9, 2), 0), (F(-1, 2), F(35, 4)))]),
 }
 
 
@@ -77,8 +93,44 @@ def _descent_line(m: int, label: str, done: list) -> str:
         out = (f"S1={len(ctx.S1)} S2={len(ctx.S2)} sel={sel.dim} dual={dual} "
                f"selp={selp} basis={basis} cl={class_group(K).divisors}")
     except Exception as exc:  # the census records failures as answers
-        out = f"raised {type(exc).__name__}: {exc}"
+        out = _raised(exc)
     return f"descent {m} {label} {out}"
+
+
+def _raised(exc: Exception) -> str:
+    return f"raised {type(exc).__name__}: {exc}"
+
+
+def _worked_lines(label: str) -> list[str]:
+    """The classify and pairing lines of one worked context."""
+    m, gens = WORKED[label]
+    ainvs, p, (px, py) = ISOGENIES[label]
+    K = make_field(m)
+    E = curve_from_rational(K, ainvs)
+    P = E.point(K(px), K(py))
+    ctx = descent.DescentContext(E, P, p)
+    head = f"{label} {m}"
+    lines = [f"classify {head} {c.prime.label()} {c.ld_E.kodaira} {c.ld_E2.kodaira} "
+             f"{c.direction} a_phi={c.a_phi} a_dual={c.a_dual} c={c.ld_E.c} c'={c.ld_E2.c}"
+             for c in ctx.classifications]
+    group = pairing_group(E)
+    for i, ((xa, xb), (ya, yb)) in enumerate(gens, 1):
+        G = E.point(K(xa, xb), K(ya, yb))
+        for a in (1, 2):
+            for b in range(p):
+                X = a * G + b * P
+                try:
+                    D = log_pairing(E, X, G)
+                    pair = (f"log={[(pr.label(), str(c)) for pr, c in D.sorted_items()]} "
+                            f"coords={group.class_coords(D)}")
+                except Exception as exc:  # recorded as an answer
+                    pair = _raised(exc)
+                try:
+                    psi = f"psi={descent.psi_vector(ctx, X)}"
+                except Exception as exc:  # recorded as an answer
+                    psi = _raised(exc)
+                lines.append(f"pairing {head} G{i} a={a} b={b} {pair} {psi}")
+    return lines
 
 
 def census_text(done: list) -> str:
@@ -86,6 +138,8 @@ def census_text(done: list) -> str:
     for m in census_fields():
         lines.append(_field_line(m))
         lines.extend(_descent_line(m, label, done) for label in ISOGENIES)
+    for label in WORKED:
+        lines.extend(_worked_lines(label))
     return "\n".join(lines) + "\n"
 
 
@@ -136,6 +190,13 @@ def test_census_duality_matches_cassels(census_run):
         for pr in primes_above(K, p):
             rhs += pr.f * isogeny.neron_scaling(z2, isogeny.tate(E, pr), isogeny.tate(E2, pr))
         assert sel.dim - dual == rhs, (K.disc, p, E2)
+    assert len(census_run[2]) > 1000
+
+
+def test_census_isogenous_curves_share_bad_places(census_run):
+    # DescentContext reads the support of its place table off E' alone
+    for ctx, _, _ in census_run[2]:
+        assert set(bad_places(ctx.E)) == set(bad_places(ctx.Eprime)), (ctx.field.disc, ctx.p)
     assert len(census_run[2]) > 1000
 
 

@@ -107,8 +107,9 @@ def test_context_builds_one_s_class_group_for_s1(monkeypatch, d):
 @pytest.mark.parametrize("d", [-47, 5])
 def test_context_scans_no_odd_residue_field_and_builds_no_x_map(monkeypatch, d):
     # 11a1 is semistable: Tate's algorithm sees only I0 and In, whose residue
-    # roots are closed-form at odd ell, and the descent reads z^2 of phihat
-    # without its x-map. 11 is inert in Q(sqrt(-47)) and splits in Q(sqrt(5))
+    # roots Cantor-Zassenhaus finds at odd ell without a scan, and the descent
+    # reads z^2 of phihat without its x-map. 11 is inert in Q(sqrt(-47)) and
+    # splits in Q(sqrt(5))
     from logdescent import isogeny
 
     scan = ResidueField._eval
@@ -127,7 +128,8 @@ def test_context_scans_no_odd_residue_field_and_builds_no_x_map(monkeypatch, d):
     ctx = _ctx_11a(d)
     kinds = {(c.prime.ell, c.prime.kind, c.ld_E.kodaira) for c in ctx.classifications}
     assert (11, "inert" if d == -47 else "split", "I1") in kinds
-    # the pairing's node data solves the tangent-slope quadratic in closed form
+    # the pairing's node data splits the tangent-slope quadratic by
+    # Cantor-Zassenhaus, with no scan
     for c in ctx.classifications:
         for ld in (c.ld_E, c.ld_E2):
             if ld.is_multiplicative and ld.split:

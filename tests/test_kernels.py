@@ -1,7 +1,7 @@
 """Oracle tests for the kernels that have one implementation each: the binary
-power ntheory.power, the residue square root ResidueField.sqrt, and the
-integer-form principality routine LatticeIdeal.is_principal. The routines
-they replaced are kept here as references."""
+power ntheory.power and the integer-form principality routine
+LatticeIdeal.is_principal. The routines they replaced are kept here as
+references."""
 
 import functools
 import operator
@@ -14,7 +14,7 @@ from logdescent.ellcurve import Curve
 from logdescent.ideals import (LatticeIdeal, _class_lattice, _compose, _form_pow, _reduce,
                                _rho_cycle, _unit_form)
 from logdescent.ntheory import power
-from logdescent.qfield import ResidueField, make_field, primes_above
+from logdescent.qfield import make_field, primes_above
 
 _ODD_PRIMES = [q for q in range(3, 64) if all(q % d for d in range(2, q))]
 _SMALL_PRIMES = [2] + [q for q in _ODD_PRIMES if q < 60]
@@ -82,47 +82,6 @@ def test_imaginary_form_power_matches_repeated_compositions(D, data):
     ref = _repeated(g, abs(e), lambda x, y: _reduce(_compose(x, y, d), d), _unit_form(d))
     assert _form_pow(f, e, d) == ref
     assert _form_pow(f, 0, d) == _unit_form(d) and _form_pow(f, 1, d) == _reduce(f, d)
-
-
-# -- ResidueField.sqrt -----------------------------------------------------
-
-
-def _check_sqrt(k):
-    """sqrt(x)^2 = x for every square x of k, 0 included; a non-square
-    raises ValueError. Returns the non-squares of F_ell that were checked as
-    squares of F_ell^2 (f = 2, odd ell)."""
-    squares = {k.mul(y, y) for y in k.elements()}
-    for x in k.elements():
-        if x in squares:
-            r = k.sqrt(x)
-            assert k.mul(r, r) == x, (k.prime, x, r)
-        else:
-            with pytest.raises(ValueError):
-                k.sqrt(x)
-    ell = k.ell
-    return [x for x in squares if k.f == 2 and x[1] == 0 and ell != 2
-            and pow(x[0], (ell - 1) // 2, ell) == ell - 1]
-
-
-@pytest.mark.parametrize("D, ell, kind, q", [
-    (-7, 2, "split", 2), (-1, 2, "ramified", 2), (5, 2, "inert", 4), (None, 2, "rational", 2),
-    (-1, 5, "split", 5), (-3, 3, "ramified", 3), (-1, 3, "inert", 9), (-1, 7, "inert", 49),
-    (2, 5, "inert", 25), (None, 61, "rational", 61)])
-def test_residue_sqrt_every_square(D, ell, kind, q):
-    K = make_field(D)
-    k = ResidueField(primes_above(K, ell)[0])
-    assert (k.prime.kind, k.q) == (kind, q)
-    fl_non_squares = _check_sqrt(k)
-    if k.f == 2 and ell != 2:
-        # the non-squares of F_ell are squares of F_ell^2 with B = 0
-        assert len(fl_non_squares) == (ell - 1) // 2
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from(_RADICANDS + [None]), st.sampled_from([2] + _ODD_PRIMES), st.data())
-def test_residue_sqrt_random_fields(D, ell, data):
-    K = make_field(D)
-    _check_sqrt(ResidueField(data.draw(st.sampled_from(primes_above(K, ell)))))
 
 
 # -- LatticeIdeal.is_principal ---------------------------------------------

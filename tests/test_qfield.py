@@ -284,11 +284,11 @@ def _scan_roots(k, cs):
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(_RADICANDS + [None]), st.data())
 def test_closed_form_roots_and_squares_match_the_scan(D, data):
-    # degree 1 and 2 roots are closed-form at odd ell (the discriminant and
-    # ResidueField.sqrt), cubics are split by Cantor-Zassenhaus at every q,
-    # and is_square is Euler's criterion on the norm; the scan over the
-    # residue field is the oracle for all three. Primes are split, inert
-    # (f = 2) or, half the time when there is one, ramified
+    # degree 1 roots are closed-form, quadratics and cubics are split by
+    # Cantor-Zassenhaus at every odd ell, and is_square is Euler's criterion
+    # on the norm; the scan over the residue field is the oracle for all
+    # three. Primes are split, inert (f = 2) or, half the time when there is
+    # one, ramified
     K = make_field(D)
     ramified = [q for q in _ODD_PRIMES if K.disc % q == 0]
     ell = data.draw(st.sampled_from(ramified if ramified and data.draw(st.booleans())
