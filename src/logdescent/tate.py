@@ -12,8 +12,8 @@ In odd characteristic no residue field is scanned: ResidueField.roots is
 closed-form for linear polys and splits every higher degree (the quadratics
 of types IV, IV*, In* and the cubic P(T) of type I0*) by Cantor-Zassenhaus,
 and the split test of multiplicative reduction asks whether b2 is a square.
-The residue field is scanned only in characteristic 2, where q <= 4
-(singular point, quadratics, split test, P(T)).
+In characteristic 2, where q <= 4, the singular point is closed-form and
+only ResidueField.roots scans the field (quadratics, split test, P(T)).
 
 Phi_v is one object, ComponentGroup, read off (kodaira, n) alone: the
 number of components, #Phi(kbar), the group law on the labels of
@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .ellcurve import Curve, Point, coordinate_change, map_coords
-from .qfield import PrimeIdeal, ResidueField, hensel_root, reduce_mod
+from .qfield import PrimeIdeal, ResidueField, hensel_root
 
 # (components, #Phi(kbar)) of the types other than In and In*
 _SHAPES = {"I0": (1, 1), "II": (1, 1), "III": (2, 2), "IV": (3, 3),
@@ -180,14 +180,22 @@ class LocalData:
     def node(self) -> tuple:
         """(x0, y0, alpha, beta) for split In: the node of curve_min lifted
         to precision n + 4, and the tangent slopes there, lifted from the
-        two residue roots in sorted order."""
+        two residue roots in sorted order. At a critical point of F,
+        a1 F_y - 2 F_x = 6x^2 + b2 x + b4, which has the simple residue root
+        0 (b4 in pi, b2 a unit): x0 lifts it, and y0 solves F_y = 0, or
+        F_x = 0 at ell = 2 where a1 is a unit."""
         E, pr, k = self.curve_min, self.prime, self.residue_field
-        N = self.n + 4
-        x0, y0 = _refine_node(E, pr, N)
-        Et = E.transform(E.field.one(), x0, E.field.zero(), y0)
-        _check(pr.val(Et.a6) == self.n, "the lifted node is not on the model", pr)
-        # tangent slopes at the node: roots of T^2 + a1 T - a2
-        quad = [-Et.a2, Et.a1, E.field.one()]
+        K, N = E.field, self.n + 4
+        x0 = hensel_root([E.b4, E.b2, K(6)], pr, K.zero(), N)
+        if pr.ell != 2:
+            y0 = -(E.a1 * x0 + E.a3) / 2
+        else:
+            y0 = ((3 * x0 + 2 * E.a2) * x0 + E.a4) / E.a1
+        # a6 of the model moved by (x0, y0) is -F(x0, y0)
+        _check(pr.val(E.equation_value(x0, y0)) == self.n, "the lifted node is not on the model", pr)
+        # tangent slopes: roots of T^2 + a1 T - a2 on the model moved by
+        # (x0, y0), whose a1 is a1 and whose a2 is a2 + 3 x0
+        quad = [-(E.a2 + 3 * x0), E.a1, K.one()]
         rts = _k_roots(k, quad)
         _check(len(rts) == 2, f"{len(rts)} tangent slope(s) at a split node", pr)
         alpha, beta = (hensel_root(quad, pr, k.lift(r), N) for r in rts)
@@ -235,19 +243,16 @@ def _singular_point(E: Curve, k: ResidueField):
         inv2 = k.inv(k.from_int(2))
         y0 = k.neg(k.mul(inv2, k.add(k.mul(k.reduce(E.a1), x0), k.reduce(E.a3))))
         return x0, y0
-    # residue characteristic 2, so q <= 4
-    a1, a2, a3, a4 = (k.reduce(a) for a in (E.a1, E.a2, E.a3, E.a4))
-    for x0 in k.elements():
-        for y0 in k.elements():
-            if not k.is_zero(k.reduce(E.equation_value(k.lift(x0), k.lift(y0)))):
-                continue
-            fx = k.sub(k.mul(a1, y0),
-                       k.add(k.add(k.mul(k.from_int(3), k.mul(x0, x0)),
-                                   k.mul(k.from_int(2), k.mul(a2, x0))), a4))
-            fy = k.add(k.add(k.mul(k.from_int(2), y0), k.mul(a1, x0)), a3)
-            if k.is_zero(fx) and k.is_zero(fy):
-                return x0, y0
-    raise RuntimeError("no singular point found on a singular reduction")
+    # characteristic 2: F_y = a1 x + a3 and F_x = a1 y + x^2 + a4 mod pi
+    a1, a2, a3, a4, a6 = (k.reduce(a) for a in E.ainvs)
+    if not k.is_zero(a1):
+        x0 = k.mul(a3, k.inv(a1))
+        return x0, k.mul(k.add(k.mul(x0, x0), a4), k.inv(a1))
+    _check(k.is_zero(a3), "no singular point on the reduction", k.prime)
+    # x -> x^(q/2) is the square root of the characteristic-2 field
+    x0 = k.pow(a4, k.q // 2)
+    y2 = k.add(k.mul(k.add(k.mul(k.add(x0, a2), x0), a4), x0), a6)
+    return x0, k.pow(y2, k.q // 2)
 
 
 def _multiplicative(n: int, split: bool) -> tuple:
@@ -422,35 +427,8 @@ def e_entry(ld: LocalData, P: Point) -> int:
 
 def _at_singular_point(ld: LocalData, Pm: Point) -> bool:
     """Whether Pm, a point of curve_min, reduces to the singular point (0,0)."""
-    v = ld.prime.val
-    return v(Pm.x) >= 1 and v(Pm.y) >= 1
-
-
-def _refine_node(E: Curve, pr: PrimeIdeal, N: int):
-    """Newton-lift the critical point of F near (0,0) to precision N."""
-    K = E.field
-    v = pr.val
-    x, y = K.zero(), K.zero()
-    prec = 1
-    while prec < N:
-        prec = min(2 * prec, N)
-        fx = E.a1 * y - 3 * x * x - 2 * E.a2 * x - E.a4
-        fy = 2 * y + E.a1 * x + E.a3
-        # Jacobian [[-6x - 2a2, a1], [a1, 2]]
-        j11 = -6 * x - 2 * E.a2
-        j12 = E.a1
-        j21 = E.a1
-        j22 = K(2)
-        det = j11 * j22 - j12 * j21
-        dinv = reduce_mod(det.inverse(), pr, prec)
-        dx = (j22 * fx - j12 * fy) * dinv
-        dy = (j11 * fy - j21 * fx) * dinv
-        x = reduce_mod(x - dx, pr, prec + 1)
-        y = reduce_mod(y - dy, pr, prec + 1)
-    fx = E.a1 * y - 3 * x * x - 2 * E.a2 * x - E.a4
-    fy = 2 * y + E.a1 * x + E.a3
-    _check(v(fx) >= N and v(fy) >= N, f"the Newton lift of the node fell short of precision {N}", pr)
-    return x, y
+    # a3, a4, a6 in pi: v(x) >= 1 puts y(y + a1 x + a3) in pi, so v(y) >= 1
+    return ld.prime.val(Pm.x) >= 1
 
 
 def component_index(ld: LocalData, Pm: Point) -> int:

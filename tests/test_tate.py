@@ -9,7 +9,8 @@ import logdescent.tate as tate_module
 from logdescent.ellcurve import Curve, curve_from_rational
 from logdescent.isogeny import tate
 from logdescent.pairing import bad_places
-from logdescent.qfield import FieldElement, ResidueField, make_field, primes_above
+from logdescent.qfield import (FieldElement, ResidueField, hensel_root, make_field,
+                               primes_above, reduce_mod)
 from logdescent.tate import component_index, e_entry, tate_local_data
 
 Q = make_field(None)
@@ -145,25 +146,116 @@ def test_component_index_lifts_the_node_once(monkeypatch):
     ld = tate_local_data(E, pr)
     P = E.point(5, 5)
     pts = [P * i for i in range(1, 6)]
-    calls = {"refine": 0, "transform": 0}
-    refine, transform = tate_module._refine_node, Curve.transform
+    ld.curve_min  # the walk's transforms happen here
+    calls = {"hensel": 0, "transform": 0}
+    hensel, transform = tate_module.hensel_root, Curve.transform
 
-    def counted_refine(*args):
-        calls["refine"] += 1
-        return refine(*args)
+    def counted_hensel(*args):
+        calls["hensel"] += 1
+        return hensel(*args)
 
     def counted_transform(self, *args):
         calls["transform"] += 1
         return transform(self, *args)
 
-    monkeypatch.setattr(tate_module, "_refine_node", counted_refine)
+    monkeypatch.setattr(tate_module, "hensel_root", counted_hensel)
     monkeypatch.setattr(Curve, "transform", counted_transform)
     j = component_index(ld, ld.map_point(pts[0], E))
-    after_first = calls["transform"]
+    # x0 and the two tangent slopes, with no change of model
+    assert calls == {"hensel": 3, "transform": 0}
     js = [j] + [component_index(ld, ld.map_point(R, E)) for R in pts[1:]]
-    assert calls["refine"] == 1
-    assert calls["transform"] == after_first
+    assert calls == {"hensel": 3, "transform": 0}
     assert js == [(i * j) % 5 for i in range(1, 6)]
+
+
+def _gradient(E, x, y):
+    """(F_x, F_y) of the equation F of E at (x, y)."""
+    return E.a1 * y - 3 * x * x - 2 * E.a2 * x - E.a4, 2 * y + E.a1 * x + E.a3
+
+
+def _refine_node(E, pr, N):
+    """Reference: Newton-lift the critical point of F near (0,0) to
+    precision N in both variables at once."""
+    K = E.field
+    x, y = K.zero(), K.zero()
+    prec = 1
+    while prec < N:
+        prec = min(2 * prec, N)
+        fx, fy = _gradient(E, x, y)
+        # Jacobian [[-6x - 2a2, a1], [a1, 2]]
+        j11, j12, j21, j22 = -6 * x - 2 * E.a2, E.a1, E.a1, K(2)
+        dinv = reduce_mod((j11 * j22 - j12 * j21).inverse(), pr, prec)
+        x = reduce_mod(x - (j22 * fx - j12 * fy) * dinv, pr, prec + 1)
+        y = reduce_mod(y - (j11 * fy - j21 * fx) * dinv, pr, prec + 1)
+    assert all(pr.val(f) >= N for f in _gradient(E, x, y))
+    return x, y
+
+
+def _node_by_newton(ld):
+    """Reference for LocalData.node: the two-variable Newton lift, then the
+    tangent slopes read off the model moved to the lifted node."""
+    E, pr, k = ld.curve_min, ld.prime, ld.residue_field
+    N = ld.n + 4
+    x0, y0 = _refine_node(E, pr, N)
+    Et = E.transform(E.field.one(), x0, E.field.zero(), y0)
+    assert pr.val(Et.a6) == ld.n
+    quad = [-Et.a2, Et.a1, E.field.one()]
+    rts = k.roots([k.reduce(c) for c in quad])
+    alpha, beta = (hensel_root(quad, pr, k.lift(r), N) for r in rts)
+    return x0, y0, alpha, beta
+
+
+def test_node_matches_the_newton_oracle():
+    # split In, n >= 2, at ell = 2, 3, 5, 7 over Q and fields where ell
+    # splits, is inert or ramifies: the tangent slopes at (0,0) mod pi are
+    # residues alpha != beta, and a point P = (px, py) in pi x pi fixes a6.
+    # A random change of model moves the node off (0,0) by a multiple of pi
+    rng = random.Random(7)
+    cases = [(None, 2), (17, 2), (5, 2), (-1, 2), (None, 3), (7, 3), (-1, 3),
+             (6, 3), (None, 5), (-1, 5), (2, 5), (5, 5), (None, 7), (2, 7),
+             (-1, 7), (7, 7)]
+    kinds, labels = set(), 0
+    for m, ell in cases:
+        K = make_field(m)
+
+        def rnd():
+            return K(rng.randint(-9, 9), rng.randint(-9, 9) if m else 0)
+        for pr in primes_above(K, ell):
+            k, pi = ResidueField(pr), pr.uniformizer()
+            found = 0
+            while found < 3:
+                al, be = (k.lift(r) for r in rng.sample(k.elements(), 2))
+                a1 = -(al + be) + pi * rnd()
+                a2 = -al * be + pi * rnd()
+                e3 = pi ** rng.randint(1, 3)
+                a3, a4 = e3 * rnd(), e3 * rnd()
+                px = pi ** rng.randint(1, 2) * rnd()
+                py = al * px + pi ** rng.randint(1, 3) * rnd()
+                a6 = py * (py + a1 * px + a3) - ((px + a2) * px + a4) * px
+                try:
+                    E = Curve(K, a1, a2, a3, a4, a6)
+                except ValueError:
+                    continue
+                urst = (K(1), rnd(), rnd(), rnd())
+                E2, P = E.transform(*urst), E.map_point(E.point(px, py), *urst)
+                ld = tate_local_data(E2, pr)
+                if not (ld.is_multiplicative and ld.split and ld.n >= 2):
+                    continue
+                found += 1
+                kinds.add((ell, pr.kind))
+                pts = [ld.map_point(P * i, E2) for i in range(1, 5)]
+                js = [component_index(ld, Pm) for Pm in pts]
+                oracle = _node_by_newton(ld)
+                # the labels read the slopes only to low precision, so
+                # compare them too
+                for a, b in zip(ld.node, oracle):
+                    assert pr.val(a - b) >= ld.n + 3, (E2, pr)
+                ld.__dict__["node"] = oracle
+                assert [component_index(ld, Pm) for Pm in pts] == js, (E2, pr)
+                labels += sum(j != 0 for j in js)
+    assert kinds == {(ell, kind) for ell in (2, 3, 5, 7)
+                     for kind in ("rational", "split", "inert", "ramified")}
+    assert labels
 
 
 @settings(max_examples=15, deadline=None)
@@ -381,25 +473,21 @@ def _singular_point_search(E, k):
     for x0 in k.elements():
         for y0 in k.elements():
             x, y = k.lift(x0), k.lift(y0)
-            fx = E.a1 * y - 3 * x * x - 2 * E.a2 * x - E.a4
-            fy = 2 * y + E.a1 * x + E.a3
-            if all(k.is_zero(k.reduce(g)) for g in (E.equation_value(x, y), fx, fy)):
+            if all(k.is_zero(k.reduce(g)) for g in (E.equation_value(x, y), *_gradient(E, x, y))):
                 return x0, y0
     raise AssertionError("no singular point")
 
 
-def test_singular_point_at_three_matches_search():
-    # curves singular at (0, 0) mod pi, moved by a random (r, s, t), at the
-    # primes above 3 of Q and of fields where 3 splits, is inert or ramifies;
-    # a1 = a2 = 0 mod pi gives cusps, where f' vanishes mod 3
-    rng = random.Random(3)
-    kinds = set()
-    for m in (None, 7, -5, -1, 2, 6, -3):
+def _singular_models(ell, fields, seed):
+    """(E, k): curves singular at (0, 0) mod pi, moved by a random (r, s, t),
+    at the primes above ell of each field; a1 and a2 are 0, in pi or random."""
+    rng = random.Random(seed)
+    for m in fields:
         K = make_field(m)
 
         def rnd():
             return K(rng.randint(-9, 9), rng.randint(-9, 9) if m else 0)
-        for pr in primes_above(K, 3):
+        for pr in primes_above(K, ell):
             k, pi = ResidueField(pr), pr.uniformizer()
             for _ in range(25):
                 a1, a2 = (rng.choice([K(0), pi * rnd(), rnd()]) for _ in range(2))
@@ -407,10 +495,33 @@ def test_singular_point_at_three_matches_search():
                     E = Curve(K, a1, a2, pi * rnd(), pi * rnd(), pi * rnd())
                 except ValueError:
                     continue
-                E = E.transform(K(1), rnd(), rnd(), rnd())
-                assert tate_module._singular_point(E, k) == _singular_point_search(E, k)
-                kinds.add((k.q, k.is_zero(k.reduce(E.b2))))
+                yield E.transform(K(1), rnd(), rnd(), rnd()), k
+
+
+def test_singular_point_at_three_matches_search():
+    # at the primes above 3 of Q and of fields where 3 splits, is inert or
+    # ramifies; a1 = a2 = 0 mod pi gives cusps, where f' vanishes mod 3
+    kinds = set()
+    for E, k in _singular_models(3, (None, 7, -5, -1, 2, 6, -3), 3):
+        assert tate_module._singular_point(E, k) == _singular_point_search(E, k)
+        kinds.add((k.q, k.is_zero(k.reduce(E.b2))))
     assert kinds == {(3, True), (3, False), (9, True), (9, False)}
+
+
+def test_singular_point_at_two_matches_search(monkeypatch):
+    # at the primes above 2 of Q and of fields where 2 splits (17, -7), is
+    # inert (5, -3) or ramifies (-1, 2, 6): closed form, no scan of k
+    def no_scan(*args):
+        raise AssertionError("the residue field was scanned")
+    kinds = set()
+    for E, k in _singular_models(2, (None, 17, -7, 5, -3, -1, 2, 6), 2):
+        expected = _singular_point_search(E, k)
+        with monkeypatch.context() as mp:
+            mp.setattr(ResidueField, "elements", no_scan)
+            mp.setattr(ResidueField, "_eval", no_scan)
+            assert tate_module._singular_point(E, k) == expected
+        kinds.add((k.q, k.is_zero(k.reduce(E.a1))))
+    assert kinds == {(2, True), (2, False), (4, True), (4, False)}
 
 
 def test_invariant_errors_name_the_place():
@@ -419,6 +530,10 @@ def test_invariant_errors_name_the_place():
     E = curve_from_rational(Q, [0, -1, 1, -10, -20])
     k = ResidueField(primes_above(Q, 7)[0])
     with pytest.raises(RuntimeError, match=r"Tate's algorithm at \(7\): 0 singular"):
+        tate_module._singular_point(E, k)
+    # in characteristic 2 with a1 = 0, F_y = a3 = 1 vanishes nowhere
+    k = ResidueField(primes_above(Q, 2)[0])
+    with pytest.raises(RuntimeError, match=r"Tate's algorithm at \(2\): no singular"):
         tate_module._singular_point(E, k)
 
 
