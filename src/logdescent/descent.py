@@ -88,17 +88,19 @@ class DescentContext:
     @cached_property
     def h1(self) -> FieldSelmerBasis:
         """The basis of H^1(U_1, mu_p)."""
-        return field_selmer_basis(self.field, self.S1, self.p)
+        return field_selmer_basis(self.cl_S1, self.p)
 
     @cached_property
     def cl_S1(self) -> SClassGroup:
-        """Cl(O_{K,S_1})."""
+        """The S_1-class map Z^{S_1} -> Cl(K), whose cokernel is
+        Cl(O_{K,S_1}). The context owns it and hands it to h1 and
+        logpic_torsion, so one descent builds it once."""
         return s_class_group(class_group(self.field), self.S1)
 
     @cached_property
     def logpic_torsion(self) -> LogPicTorsion:
         """logPic(X, S_1)[p] with explicit generators."""
-        return LogPicTorsion(self.field, self.S1, self.p)
+        return LogPicTorsion(self.cl_S1, self.p)
 
     def torsion(self) -> LogPicTorsion:
         return self.logpic_torsion
@@ -152,9 +154,8 @@ class H1Coordinates:
         for ell in primerange(self.p + 1, self.CAP):
             if (ell - 1) % self.p:
                 continue
-            for w in primes_above(K, ell):
-                if local_mu_p_dim(w, self.p):
-                    yield w
+            # N(w) is ell or ell^2, both 1 mod p, so mu_p lies in every k_w
+            yield from primes_above(K, ell)
 
     def coords(self, x: FieldElement) -> list[int]:
         """Solve x = prod gens^e mod p-th powers; error if x not in the span."""

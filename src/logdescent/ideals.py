@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 import operator
-import weakref
 from fractions import Fraction
 from functools import cached_property
 
@@ -434,8 +433,6 @@ class ClassGroup:
         self.field = field
         self.factor_base = factor_base
         self.coker = coker
-        # by tuple(S), for as long as a caller holds the S-class group
-        self._s_class_groups = weakref.WeakValueDictionary()
         self._prime_dlog_cache: dict[PrimeIdeal, tuple[int, ...]] = {}
         for i, p in enumerate(factor_base):
             e = [0] * len(factor_base)
@@ -522,30 +519,31 @@ _CLASS_GROUP_CACHE: dict[int, ClassGroup] = {}
 
 def class_group(field: QuadField) -> ClassGroup:
     """Certified class group of a quadratic field (trivial for Q)."""
-    if field.disc in _CLASS_GROUP_CACHE:
-        return _CLASS_GROUP_CACHE[field.disc]
-    if field.is_rational:
-        cg = ClassGroup(field, [], Cokernel(0, []))
-        _CLASS_GROUP_CACHE[field.disc] = cg
-        return cg
+    cg = _CLASS_GROUP_CACHE.get(field.disc)
+    if cg is None:
+        cg = _CLASS_GROUP_CACHE[field.disc] = _certified_class_group(field)
+    return cg
+
+
+def _certified_class_group(field: QuadField) -> ClassGroup:
     disc = field.disc
-    if disc < 0:
-        mink = math.isqrt(4 * abs(disc)) // 3 + 2  # >= 2*sqrt(|d|)/pi
-    else:
-        mink = math.isqrt(disc) // 2 + 2
     fb: list[PrimeIdeal] = []
     # (ell, index in fb of the first prime above ell, its wbar if ell splits)
     fb_ells: list[tuple[int, int, int | None]] = []
-    for ell in primerange(2, mink + 1):
-        prs = primes_above(field, ell)
-        if prs[0].kind == "inert":
-            continue
-        fb_ells.append((ell, len(fb), prs[0].wbar if prs[0].kind == "split" else None))
-        fb.extend(prs)
+    # over Q, where primes_above would still give a factor base, fb stays empty
+    if not field.is_rational:
+        if disc < 0:
+            mink = math.isqrt(4 * abs(disc)) // 3 + 2  # >= 2*sqrt(|d|)/pi
+        else:
+            mink = math.isqrt(disc) // 2 + 2
+        for ell in primerange(2, mink + 1):
+            prs = primes_above(field, ell)
+            if prs[0].kind == "inert":
+                continue
+            fb_ells.append((ell, len(fb), prs[0].wbar if prs[0].kind == "split" else None))
+            fb.extend(prs)
     if not fb:
-        cg = ClassGroup(field, [], Cokernel(0, []))
-        _CLASS_GROUP_CACHE[field.disc] = cg
-        return cg
+        return ClassGroup(field, [], Cokernel(0, []))
 
     # (ell) = p^2 or p*conj(p)
     relations: list[list[int]] = []
@@ -599,7 +597,6 @@ def class_group(field: QuadField) -> ClassGroup:
             cg = ClassGroup(field, fb, coker)
             extra = _certify(cg)
             if extra is None:
-                _CLASS_GROUP_CACHE[field.disc] = cg
                 return cg
             relations.append(extra)
             stable = 0
@@ -633,15 +630,12 @@ class FieldSelmerBasis:
     fields); class_gens realize the p-torsion of Cl(O_{K,S}).
     """
 
-    def __init__(self, field, S, p, unit_gens, class_gens, scl=None):
+    def __init__(self, field, S, p, unit_gens, class_gens):
         self.field = field
         self.S = list(S)
         self.p = p
         self.unit_gens = unit_gens
         self.class_gens = class_gens
-        # the S-class group the basis came from: holding it lets later
-        # s_class_group calls for this S share it while the basis lives
-        self.scl = scl
 
     @property
     def gens(self) -> list[FieldElement]:
@@ -666,10 +660,12 @@ class SClassGroup(Cokernel):
     generators, with relations d_i e_i first and then [v] for v in S. The
     same Smith form gives the kernel of the map, ``unit_lattice`` (the
     exponent vectors of S-units, in HNF), and preimages (``s_combination``).
+    It keeps cg and S, from which its users read K and S.
     """
 
     def __init__(self, cg: ClassGroup, S: list[PrimeIdeal]):
         self.cg = cg
+        self.S = list(S)
         n = cg.coker.ngens
         rels = [[d if i == j else 0 for j in range(n)] for i, d in enumerate(cg.coker.divisors)]
         rels += [list(cg.dlog_prime(pr)) for pr in S]
@@ -709,14 +705,8 @@ class SClassGroup(Cokernel):
 
 
 def s_class_group(cg: ClassGroup, S: list[PrimeIdeal]) -> SClassGroup:
-    """Cl(O_{K,S}) presented on the class group's generators. One is shared
-    per (class group, S) while any caller holds it; no caller changes an
-    SClassGroup after it is built."""
-    key = tuple(S)
-    scl = cg._s_class_groups.get(key)
-    if scl is None:
-        scl = cg._s_class_groups[key] = SClassGroup(cg, S)
-    return scl
+    """The S-class map of cg for the places S, from one new Smith form."""
+    return SClassGroup(cg, S)
 
 
 def theta_image_dim(cg: ClassGroup, S: list[PrimeIdeal], p: int) -> int:
@@ -730,10 +720,14 @@ def s_unit_lattice(cg: ClassGroup, S: list[PrimeIdeal]) -> list[list[int]]:
     return s_class_group(cg, S).unit_lattice
 
 
-def field_selmer_basis(field: QuadField, S: list[PrimeIdeal], p: int) -> FieldSelmerBasis:
-    """Basis of H^1(U, mu_p) for U = Spec O_K minus S, p odd."""
+def field_selmer_basis(scl: SClassGroup, p: int) -> FieldSelmerBasis:
+    """Basis of H^1(U, mu_p) for U = Spec O_K minus S, p odd, where K and S
+    are those of the S-class map scl: its kernel gives the S-units and the
+    lifts of Cl(O_{K,S})[p] the class generators."""
     if p == 2 or p % 2 == 0:
         raise ValueError("p must be odd")
+    cg, S = scl.cg, scl.S
+    field = cg.field
     unit_gens: list[FieldElement] = []
     if field.is_rational:
         for pr in S:
@@ -744,8 +738,6 @@ def field_selmer_basis(field: QuadField, S: list[PrimeIdeal], p: int) -> FieldSe
     if field.mu_p_dim(p):
         # zeta_3 for Q(sqrt(-3))
         unit_gens.append(field(Fraction(-1, 2), Fraction(1, 2)))
-    cg = class_group(field)
-    scl = s_class_group(cg, S)
     for vec in scl.unit_lattice:
         gen = ideal_generator(field, {pr: e for pr, e in zip(S, vec) if e})
         if gen is None:
@@ -758,4 +750,4 @@ def field_selmer_basis(field: QuadField, S: list[PrimeIdeal], p: int) -> FieldSe
         if not ok:
             raise RuntimeError("a lift of Cl(O_{K,S})[p] is not principal")
         class_gens.append(gen / n)
-    return FieldSelmerBasis(field, S, p, unit_gens, class_gens, scl)
+    return FieldSelmerBasis(field, S, p, unit_gens, class_gens)

@@ -74,54 +74,42 @@ class Isogeny:
         return Q
 
 
-def _velu_polys(E: Curve) -> tuple:
-    """t(x) = 6x^2 + b2 x + b4 and u(x) = 4x^3 + b2 x^2 + 2b4 x + b6."""
-    K = E.field
-    return Poly(K, [E.b4, E.b2, 6]), Poly(K, [E.b6, 2 * E.b4, E.b2, 4])
-
-
 def velu(E: Curve, h: Poly, p: int) -> Isogeny:
     """Normalized quotient isogeny with kernel polynomial h (monic, degree
-    (p-1)/2). The codomain needs only the sums t and w over the roots of h."""
+    d = (p-1)/2). The codomain needs only t = sum t(x_i) and
+    w = sum u(x_i) + x_i t(x_i) over the roots x_i of h, which are linear in
+    the power sums s_1, s_2, s_3 of the roots; these come from the top three
+    coefficients of h."""
     K = E.field
-    if h.degree != (p - 1) // 2 or h.lc() != K.one():
-        raise ValueError(f"kernel polynomial must be monic of degree {(p - 1) // 2}")
-    t_poly, u_poly = _velu_polys(E)
-    # scalar sums: t = sum t(x_i), w = sum u(x_i) + x_i t(x_i)
-    t_sum = _symmetric_sum(t_poly, h)
-    w_sum = _symmetric_sum(u_poly + Poly.x(K) * t_poly, h)
-    E2 = Curve(K, E.a1, E.a2, E.a3, E.a4 - 5 * t_sum, E.a6 - E.b2 * t_sum - 7 * w_sum)
+    d = (p - 1) // 2
+    if h.degree != d or h.lc() != K.one():
+        raise ValueError(f"kernel polynomial must be monic of degree {d}")
+    # h = x^d - e1 x^(d-1) + e2 x^(d-2) - e3 x^(d-3) + ..., with e_k = 0 for
+    # k > d, and Newton's identities
+    e1, e2, e3 = -h[d - 1], h[d - 2], -h[d - 3]
+    s1 = e1
+    s2 = e1 * s1 - 2 * e2
+    s3 = e1 * s2 - e2 * s1 + 3 * e3
+    # t(x) = 6x^2 + b2 x + b4 and u(x) + x t(x) = 10x^3 + 2b2 x^2 + 3b4 x + b6
+    b2, b4, b6 = E.b2, E.b4, E.b6
+    t = 6 * s2 + b2 * s1 + d * b4
+    w = 10 * s3 + 2 * b2 * s2 + 3 * b4 * s1 + d * b6
+    E2 = Curve(K, E.a1, E.a2, E.a3, E.a4 - 5 * t, E.a6 - b2 * t - 7 * w)
     return Isogeny(E, E2, p, h, E2)
 
 
 def _velu_x_map(E: Curve, h: Poly) -> tuple:
-    """(Nx, Dx), both monic, with X(x) = x + A/h - (B/h)' = Nx/Dx."""
-    x = Poly.x(E.field)
-    t_poly, u_poly = _velu_polys(E)
+    """(Nx, Dx), both monic, with X(x) = x + A/h - (B/h)' = Nx/Dx, where A and
+    B sum t(x_i)/(x - x_i) and u(x_i)/(x - x_i) over the roots x_i of h."""
+    K = E.field
+    x = Poly.x(K)
+    t_poly = Poly(K, [E.b4, E.b2, 6])
+    u_poly = Poly(K, [E.b6, 2 * E.b4, E.b2, 4])
     hp = h.derivative()
     # sum f(x_i)/(x - x_i) = (f * h' mod h)/h for f of any degree
     A = (t_poly * hp) % h
     B = (u_poly * hp) % h
     return x * h * h + A * h - B.derivative() * h + B * hp, h * h
-
-
-def _symmetric_sum(f: Poly, h: Poly) -> FieldElement:
-    """sum of f over the roots of h (monic), via Newton power sums."""
-    d = h.degree
-    K = h.field
-    e = [h[d - i] for i in range(d + 1)]  # e[0] = 1, signed elementary syms
-    # power sums p_k from Newton's identities: p_k = -k e_k - sum e_i p_{k-i}
-    ps = [K(d)]
-    for k in range(1, f.degree + 1):
-        acc = K.zero()
-        for i in range(1, min(k - 1, d) + 1):
-            acc = acc + e[i] * ps[k - i]
-        ek = e[k] if k <= d else K.zero()
-        ps.append(-k * ek - acc)
-    out = K.zero()
-    for i, c in enumerate(f.coeffs):
-        out = out + c * ps[i]
-    return out
 
 
 def isogeny_from_kernel_point(E: Curve, P: Point, p: int) -> Isogeny:

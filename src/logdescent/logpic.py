@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .ideals import Cokernel, class_group, s_class_group
+from .ideals import Cokernel, SClassGroup, class_group, s_class_group
 from .qfield import PrimeIdeal, QuadField
 
 
@@ -179,16 +179,16 @@ class LogPic:
 
 
 class LogPicTorsion:
-    """logPic(X,S)[p] with explicit generators: (1/p) v for v in S followed
-    by lifts of generators of Cl(O_{K,S})[p]."""
+    """logPic(X,S)[p] with explicit generators, for the K and S of the
+    S-class map scl: (1/p) of the S-unit lattice followed by lifts of
+    generators of Cl(O_{K,S})[p]."""
 
-    def __init__(self, field: QuadField, S, p: int):
-        self.field = field
-        self.S = list(S)
+    def __init__(self, scl: SClassGroup, p: int):
+        cg = scl.cg
+        field = self.field = cg.field
+        self.S = scl.S
         self.p = p
         self.group = LogPic(field, {pr: p for pr in self.S})
-        cg = self.group.cg
-        scl = s_class_group(cg, self.S)
         # the first part of the torsion is (1/p) L / L where L is the lattice
         # of S-supported principal divisors, not (1/p)v itself: v may have a
         # class of order divisible by p

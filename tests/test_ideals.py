@@ -135,34 +135,34 @@ def test_s_unit_lattice_and_selmer_basis_dims():
     # rational field
     Q = make_field(None)
     S = primes_above(Q, 11)
-    b = field_selmer_basis(Q, S, p)
+    b = field_selmer_basis(s_class_group(class_group(Q), S), p)
     assert b.dim == 1 and b.gens[0] == Q(11)
     # imaginary, trivial class group
     K7 = make_field(-7)
     S = primes_above(K7, 11)  # 11 in Q(sqrt -7): kronecker(-7,11)?
-    b = field_selmer_basis(K7, S, p)
+    b = field_selmer_basis(s_class_group(class_group(K7), S), p)
     assert b.dim == len(S)
     for x in b.gens:
         for pr, e in prime_divisors(K7, x).items():
             assert pr in S or e % p == 0
     # imaginary with Cl = C5
     K = make_field(-47)
-    b0 = field_selmer_basis(K, [], p)
+    b0 = field_selmer_basis(s_class_group(class_group(K), []), p)
     assert b0.dim == 1 and len(b0.class_gens) == 1
     g = b0.class_gens[0]
     for pr, e in prime_divisors(K, g).items():
         assert e % 5 == 0
     # with a split prime above 11 (inert or split depending on field)
     S11 = primes_above(K, 11)
-    b1 = field_selmer_basis(K, S11, p)
+    b1 = field_selmer_basis(s_class_group(class_group(K), S11), p)
     assert b1.dim == len(S11) + class_group(K).coker.p_torsion_dim(p) - theta_image_dim(class_group(K), S11, p)
     # real field: fundamental unit enters
     K2 = make_field(2)
-    b2 = field_selmer_basis(K2, [], 3)
+    b2 = field_selmer_basis(s_class_group(class_group(K2), []), 3)
     assert b2.dim == 1 and b2.gens[0] == fundamental_unit(K2)
     # mu_3 in Q(sqrt -3)
     K3 = make_field(-3)
-    b3 = field_selmer_basis(K3, [], 3)
+    b3 = field_selmer_basis(s_class_group(class_group(K3), []), 3)
     assert b3.dim == 1
     z = b3.gens[0]
     assert z ** 3 == K3(1) and z != K3(1)

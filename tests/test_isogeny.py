@@ -1,9 +1,10 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from logdescent.ellcurve import curve_from_rational
+from logdescent.ellcurve import Curve, curve_from_rational
 from logdescent.isogeny import (
     classify_place,
     dual_isogeny,
@@ -11,6 +12,7 @@ from logdescent.isogeny import (
     isogeny_from_kernel_point,
     neron_scaling,
     tate,
+    velu,
 )
 from logdescent.polyring import Poly
 from logdescent.qfield import make_field, prime_divisors, primes_above
@@ -193,6 +195,73 @@ def test_dual_scaling_from_the_z_identity(label, m):
             expected = ("mixed" if a_phi and a_dual
                         else "forward" if not a_dual else "backward")
             assert cl.direction == expected
+
+
+def _newton_velu_codomain(E, h):
+    """Velu's codomain, with t = sum t(x_i) and w = sum u(x_i) + x_i t(x_i)
+    over the roots of h from power sums of every degree by Newton's
+    identities."""
+    K = E.field
+    x = Poly.x(K)
+    t_poly = Poly(K, [E.b4, E.b2, 6])
+    w_poly = Poly(K, [E.b6, 2 * E.b4, E.b2, 4]) + x * t_poly
+    d = h.degree
+    e = [h[d - i] for i in range(d + 1)]  # e[0] = 1, signed elementary syms
+    ps = [K(d)]
+    for k in range(1, w_poly.degree + 1):
+        acc = K.zero()
+        for i in range(1, min(k - 1, d) + 1):
+            acc = acc + e[i] * ps[k - i]
+        ps.append(-k * (e[k] if k <= d else K.zero()) - acc)
+    t, w = (sum((c * q for c, q in zip(f.coeffs, ps)), K.zero()) for f in (t_poly, w_poly))
+    return Curve(K, E.a1, E.a2, E.a3, E.a4 - 5 * t, E.a6 - E.b2 * t - 7 * w)
+
+
+# kernels of order 3, 5 and 7: the descent's isogenies and 26b1, whose
+# torsion is Z/7
+VELU_KERNELS = {**ISOGENIES, "26b1": ((1, -1, 1, -3, 3), 7, (1, 0))}
+
+
+@pytest.mark.parametrize("label", sorted(VELU_KERNELS))
+@pytest.mark.parametrize("m", [None, -47, -3, -1, 2, 5, -79])
+def test_velu_codomain_matches_newton_sums(label, m):
+    ainvs, p, (px, py) = VELU_KERNELS[label]
+    K = make_field(m)
+    E = curve_from_rational(K, ainvs)
+    h = E.kernel_polynomial(E.point(K(px), K(py)), p)
+    assert velu(E, h, p).codomain == _newton_velu_codomain(E, h)
+
+
+def _codomain_or_error(f):
+    try:
+        return f()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(VELU_KERNELS)), st.sampled_from([None] + RADICANDS),
+       st.sampled_from([3, 5, 7]), st.data())
+def test_velu_codomain_on_random_monic_h(label, m, p, data):
+    # the three power sums are an identity in the coefficients of h, so any
+    # monic h of degree (p-1)/2 gives the oracle's curve, or both models are
+    # singular
+    K = make_field(m)
+    E = curve_from_rational(K, VELU_KERNELS[label][0])
+    q = st.fractions(-20, 20, max_denominator=6)
+    coeffs = [K(data.draw(q), data.draw(q)) if m else K(data.draw(q))
+              for _ in range((p - 1) // 2)]
+    h = Poly(K, coeffs + [1])
+    assert (_codomain_or_error(lambda: velu(E, h, p).codomain)
+            == _codomain_or_error(lambda: _newton_velu_codomain(E, h)))
+
+
+def test_velu_rejects_a_kernel_polynomial_of_the_wrong_shape():
+    E, P = pair_11a()
+    h = E.kernel_polynomial(P, 5)
+    for bad in (h * Poly.x(Q), h * 2, Poly(Q, [1])):
+        with pytest.raises(ValueError, match="monic of degree 2"):
+            velu(E, bad, 5)
 
 
 def _eager_x_map(E, h):

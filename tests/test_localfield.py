@@ -1,10 +1,15 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 import logdescent
+from logdescent.linalg import fp_rank
 from logdescent.localfield import LocalUnitGroup, is_local_pth_power
+from logdescent.ntheory import power
 from logdescent.qfield import make_field, primes_above, reduce_mod
 
 
@@ -94,6 +99,33 @@ def test_wild_split_and_inert():
         if pr.val(a) == 0 and pr.val(b) == 0:
             ca, cb, cab = g.coords(a), g.coords(b), g.coords(a * b)
             assert all((x + y) % p == z for x, y, z in zip(ca, cb, cab))
+
+
+@pytest.mark.parametrize("m, p", [(2, 5), (3, 5), (-1, 7), (2, 3)])
+def test_log_coords_at_an_inert_prime_above_p(m, p):
+    # e = 1 < p - 1 and f = 2: two log digits in k = F_{p^2}. As p is odd and
+    # unramified, U_1^p = U_2, so a unit u is a p-th power iff
+    # u^(q-1) = 1 mod p^2
+    K = make_field(m)
+    (pr,) = primes_above(K, p)
+    assert pr.kind == "inert"
+    g = LocalUnitGroup(pr, p)
+    assert g.dim == 2
+    rng = random.Random(m * p)
+    units = []
+    while len(units) < 60:
+        x = K.from_omega(rng.randrange(-p ** 3, p ** 3), rng.randrange(-p ** 3, p ** 3))
+        if pr.val(x) == 0:
+            units.append(x)
+    mul = lambda a, b: reduce_mod(a * b, pr, 2)
+    for x in units + [u ** p for u in units[:5]]:
+        w = power(x, g.q - 1, mul, K(1))
+        assert g.is_pth_power(x) == (pr.val(w - K(1)) >= 2), x
+    coords = [g.coords(x) for x in units]
+    for (x, cx), (y, cy) in zip(zip(units, coords), zip(units[1:], coords[1:])):
+        assert g.coords(x * y) == tuple((a + b) % p for a, b in zip(cx, cy))
+    # additive and of rank 2, so onto F_p^2
+    assert fp_rank([list(c) for c in coords], p) == 2
 
 
 def test_wild_ramified_p3():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from logdescent.ideals import class_group
+from logdescent.ideals import class_group, s_class_group
 from logdescent.logpic import LogDivisor, LogPic
 from logdescent.qfield import make_field, primes_above
 
@@ -109,12 +109,12 @@ def test_torsion_presentation_dimensions():
     from logdescent.logpic import LogPicTorsion
 
     K = make_field(-47)
-    T = LogPicTorsion(K, [primes_above(K, 11)[0]], 5)
+    T = LogPicTorsion(s_class_group(class_group(K), [primes_above(K, 11)[0]]), 5)
     assert T.dim == 2
     K2 = make_field(2)
-    T2 = LogPicTorsion(K2, [primes_above(K2, 11)[0]], 5)
+    T2 = LogPicTorsion(s_class_group(class_group(K2), [primes_above(K2, 11)[0]]), 5)
     assert T2.dim == 1
-    T0 = LogPicTorsion(make_field(-7), [], 5)
+    T0 = LogPicTorsion(s_class_group(class_group(make_field(-7)), []), 5)
     assert T0.dim == 0
 
 
@@ -126,14 +126,13 @@ def test_torsion_presentation_split_class_generator():
 
     K = make_field(-47)
     p2 = primes_above(K, 2)[0]
-    T = LogPicTorsion(K, [p2], 5)
+    T = LogPicTorsion(s_class_group(class_group(K), [p2]), 5)
     assert T.dim == 1
     assert T.vector(T.gens[0]) != [0] * T.dim
 
 
 def test_exactness_dimension_many_triples():
     # dim logPic(X,S)[p] = #S + dim Cl(O_K,S)[p] over a battery of triples
-    from logdescent.ideals import s_class_group
     from logdescent.logpic import LogPicTorsion
 
     count = 0
@@ -152,7 +151,7 @@ def test_exactness_dimension_many_triples():
             if not ok:
                 continue
             for p in (3, 5):
-                T = LogPicTorsion(K, S, p)
+                T = LogPicTorsion(s_class_group(class_group(K), S), p)
                 assert T.dim == len(S) + s_class_group(cg, S).mod_p_dim(p)
                 count += 1
     assert count >= 20
@@ -165,7 +164,7 @@ def test_split_case_when_s_classes_trivial():
 
     K = make_field(-47)
     p11 = primes_above(K, 11)[0]  # inert, principal
-    T = LogPicTorsion(K, [p11], 5)
+    T = LogPicTorsion(s_class_group(class_group(K), [p11]), 5)
     vecs = [T.vector(g) for g in T.gens]
     # S-generator maps to zero in Cl_S part and the class lift has no S tail
     assert T.gens[0].coeffs == {p11: Fraction(1, 5)}
