@@ -9,7 +9,6 @@ psi_sel o kummer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -177,12 +176,14 @@ class H1Coordinates:
 # -- the Selmer group ------------------------------------------------------
 
 
-@dataclass
 class SelmerGroup:
-    ctx: DescentContext
-    h1: FieldSelmerBasis
-    matrix: list[list[int]]        # one row per h1 generator
-    kernel: list[list[int]]        # exponent vectors cutting out Sel^phi
+    __slots__ = ("ctx", "h1", "matrix", "kernel")
+
+    def __init__(self, ctx: DescentContext, h1: FieldSelmerBasis,
+                 matrix: list[list[int]], kernel: list[list[int]]):
+        self.ctx, self.h1 = ctx, h1
+        self.matrix = matrix    # one row per h1 generator
+        self.kernel = kernel    # exponent vectors cutting out Sel^phi
 
     @property
     def dim(self) -> int:
@@ -364,26 +365,27 @@ def psi_vector(ctx: DescentContext, Q: Point) -> list[int]:
 # -- reports ----------------------------------------------------------------
 
 
-@dataclass
 class ShaBound:
-    lower: int
-    upper: int
+    __slots__ = ("lower", "upper")
+
+    def __init__(self, lower: int, upper: int):
+        self.lower, self.upper = lower, upper
 
 
-@dataclass
 class DescentReport:
-    ctx: DescentContext
-    sel: SelmerGroup
-    sel_phihat_dim: int
-    sel_p_dim: int | None
-    logpic_dim: int
-    psi_values: list[LogDivisor]
-    psi_rank: int
-    kappa_rank: int
-    ker_psi_dim: int
-    ker_psi_sel_dim: int
-    coker_psi_sel_dim: int
-    sha_phi: ShaBound
+    __slots__ = ("ctx", "sel", "sel_phihat_dim", "sel_p_dim", "logpic_dim", "psi_values",
+                 "psi_rank", "kappa_rank", "ker_psi_dim", "ker_psi_sel_dim",
+                 "coker_psi_sel_dim", "sha_phi")
+
+    def __init__(self, ctx: DescentContext, sel: SelmerGroup, sel_phihat_dim: int,
+                 sel_p_dim: int | None, logpic_dim: int, psi_values: list[LogDivisor],
+                 psi_rank: int, kappa_rank: int, ker_psi_dim: int,
+                 ker_psi_sel_dim: int, coker_psi_sel_dim: int, sha_phi: ShaBound):
+        self.ctx, self.sel = ctx, sel
+        self.sel_phihat_dim, self.sel_p_dim, self.logpic_dim = sel_phihat_dim, sel_p_dim, logpic_dim
+        self.psi_values, self.psi_rank, self.kappa_rank = psi_values, psi_rank, kappa_rank
+        self.ker_psi_dim, self.ker_psi_sel_dim = ker_psi_dim, ker_psi_sel_dim
+        self.coker_psi_sel_dim, self.sha_phi = coker_psi_sel_dim, sha_phi
 
 
 def descent_report(ctx: DescentContext, points: list[Point]) -> DescentReport:

@@ -13,7 +13,6 @@ by an isomorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -23,18 +22,15 @@ from .qfield import FieldElement, PrimeIdeal, sqrt_element
 from .tate import LocalData, tate_local_data
 
 
-@dataclass
 class Isogeny:
     """A normalized Velu p-isogeny with kernel polynomial kernel_poly; iso is
     an optional post-composed isomorphism (u,r,s,t) from the Velu codomain
     to the stated codomain. The x-map Nx/Dx is built on first use."""
 
-    domain: Curve
-    codomain: Curve
-    p: int
-    kernel_poly: Poly
-    velu_codomain: Curve
-    iso: tuple | None = None
+    def __init__(self, domain: Curve, codomain: Curve, p: int, kernel_poly: Poly,
+                 velu_codomain: Curve, iso: tuple | None = None):
+        self.domain, self.codomain, self.p = domain, codomain, p
+        self.kernel_poly, self.velu_codomain, self.iso = kernel_poly, velu_codomain, iso
 
     @property
     def z_squared(self) -> FieldElement:
@@ -175,14 +171,14 @@ def neron_scaling(z2: FieldElement, ld_dom: LocalData, ld_cod: LocalData) -> Fra
     return Fraction(vz2, 2) + ld_cod.vu - ld_dom.vu
 
 
-@dataclass
 class PlaceClassification:
-    prime: PrimeIdeal
-    ld_E: LocalData
-    ld_E2: LocalData
-    a_phi: Fraction
-    a_dual: Fraction
-    direction: str  # "forward" | "backward" | "good"
+    __slots__ = ("prime", "ld_E", "ld_E2", "a_phi", "a_dual", "direction")
+
+    def __init__(self, prime: PrimeIdeal, ld_E: LocalData, ld_E2: LocalData,
+                 a_phi: Fraction, a_dual: Fraction, direction: str):
+        self.prime, self.ld_E, self.ld_E2 = prime, ld_E, ld_E2
+        self.a_phi, self.a_dual = a_phi, a_dual
+        self.direction = direction  # "forward" | "backward" | "mixed" | "good"
 
     @property
     def in_S1(self) -> bool:

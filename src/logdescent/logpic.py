@@ -10,9 +10,8 @@ group, which makes torsion dimensions and equality decidable exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 
-from .ideals import Cokernel, SClassGroup, class_group, s_class_group
+from .ideals import Cokernel, SClassGroup, class_group
 from .qfield import PrimeIdeal, QuadField
 
 
@@ -157,25 +156,6 @@ class LogPic:
             if f:
                 out[pr] = f
         return out
-
-    def project_to_s_class_group(self, D: LogDivisor) -> tuple[int, ...]:
-        """Image under logPic(X, S) -> Cl(O_{K,S}): drop coefficients at the
-        places of S and map the integral rest to its class."""
-        ncg = self.cg.coker.ngens
-        acc = [0] * ncg
-        for pr, a in D.coeffs.items():
-            if pr in self.mults:
-                continue
-            if a.denominator != 1:
-                raise ValueError(f"fractional coefficient {a} off the bad set at {pr}")
-            if ncg:
-                t = self.cg.dlog_prime(pr)
-                acc = [u + int(a) * w for u, w in zip(acc, t)]
-        return self.scl_full.coords(acc)
-
-    @cached_property
-    def scl_full(self) -> Cokernel:
-        return s_class_group(self.cg, self.places)
 
 
 class LogPicTorsion:

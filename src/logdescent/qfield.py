@@ -17,7 +17,6 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .ntheory import factorint, isprime, kronecker, power, sqrt_mod
@@ -276,12 +275,6 @@ class FieldElement:
     def __bool__(self):
         return self.A != 0 or self.B != 0
 
-    def omega_coords(self) -> tuple[Fraction, Fraction]:
-        """Coordinates over the integral basis (1, omega)."""
-        if self.field.disc % 4 == 1:
-            return Fraction(self.A - self.B, self.D), Fraction(2 * self.B, self.D)
-        return self.a, self.b
-
     def integer_coords(self) -> tuple[int, int, int]:
         """(A, B, den) with self = (A + B*omega)/den, gcd(A, B, den) = 1."""
         if self.field.disc % 4 != 1 or not self.B:
@@ -400,19 +393,29 @@ def parse_element(field: QuadField, s: str) -> FieldElement:
     return field(a, b)
 
 
-@dataclass(frozen=True)
 class PrimeIdeal:
     """A maximal ideal of O_K (or a rational prime for K = Q).
 
     kind: 'rational' | 'split' | 'inert' | 'ramified'; wbar is the image of
     omega in the residue field for f = 1 kinds (split primes carry one root
-    each, distinguishing the conjugate pair).
+    each, distinguishing the conjugate pair): a root of the omega minimal
+    polynomial mod ell, 0 for inert. Equal and hashed as the tuple (field,
+    ell, kind, wbar): set and dict order, and so printed answers, follow it.
     """
 
-    field: QuadField
-    ell: int
-    kind: str
-    wbar: int  # root of the omega minimal polynomial mod ell (f=1); 0 for inert
+    __slots__ = ("field", "ell", "kind", "wbar")
+
+    def __init__(self, field: QuadField, ell: int, kind: str, wbar: int):
+        self.field, self.ell, self.kind, self.wbar = field, ell, kind, wbar
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.ell, self.kind, self.wbar) == \
+            (other.field, other.ell, other.kind, other.wbar)
+
+    def __hash__(self):
+        return hash((self.field, self.ell, self.kind, self.wbar))
 
     @property
     def e(self) -> int:

@@ -23,7 +23,6 @@ builds it on first use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -80,7 +79,6 @@ class ComponentGroup:
         return Fraction(n + 4 if i == j else n + 2, 4)
 
 
-@dataclass
 class LocalData:
     """Tate's algorithm at one place: the reduction data, and the minimal
     model curve_min with the transform urst from the input model to it.
@@ -95,20 +93,23 @@ class LocalData:
     #Phi(kbar), its law and the fibral table) is phi, a ComponentGroup read
     off (kodaira, n) on first use."""
 
-    prime: PrimeIdeal
-    kodaira: str              # "I0", "I5", "II", ..., "I3*"
-    n: int                    # index for In / In*, else 0
-    c: int                    # Tamagawa number #Phi(k)
-    split: bool | None        # for multiplicative reduction
-    vdisc: int                # v(disc of minimal model)
-    vu: int                   # v(u) of urst (>= 0 for integral input)
-    # IV, IV*, I0*, In*: (coord, e, roots). A point at the singular point of
-    # curve_min lies on the branch of its residue of coord/pi^e among the
-    # sorted residue roots of the last equation of the algorithm
-    branches: tuple = ()
-    # read off the invariants: (model, urst) with denominators cleared, where
-    # the walk to curve_min starts
-    cleared: tuple | None = None
+    def __init__(self, prime: PrimeIdeal, kodaira: str, n: int, c: int,
+                 split: bool | None, vdisc: int, vu: int,
+                 branches: tuple = (), cleared: tuple | None = None):
+        self.prime = prime
+        self.kodaira = kodaira    # "I0", "I5", "II", ..., "I3*"
+        self.n = n                # index for In / In*, else 0
+        self.c = c                # Tamagawa number #Phi(k)
+        self.split = split        # for multiplicative reduction
+        self.vdisc = vdisc        # v(disc of minimal model)
+        self.vu = vu              # v(u) of urst (>= 0 for integral input)
+        # IV, IV*, I0*, In*: (coord, e, roots). A point at the singular point
+        # of curve_min lies on the branch of its residue of coord/pi^e among
+        # the sorted residue roots of the last equation of the algorithm
+        self.branches = branches
+        # read off the invariants: (model, urst) with denominators cleared,
+        # where the walk to curve_min starts
+        self.cleared = cleared
 
     @cached_property
     def _model(self) -> tuple:

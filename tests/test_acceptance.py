@@ -18,6 +18,7 @@ from logdescent.pairing import bad_places, log_pairing, monodromy_pairing, pairi
 from logdescent.qfield import ResidueField, make_field, primes_above
 from logdescent.tate import ComponentGroup, component_index
 
+from oracles import project_to_s_class_group
 from test_pairing import _int_solve, _intersection_matrix, _solve_fibral
 
 
@@ -77,7 +78,8 @@ def test_criterion_2_descent_regression_sqrt_m47():
     T = ctx.torsion()
     scl = s_class_group(class_group(K), ctx.S1)
     assert scl.mod_p_dim(5) == 1
-    proj = lambda x: [c % 5 for c in T.group.project_to_s_class_group(psi_sel(ctx, x))]
+    scl_T = s_class_group(T.group.cg, T.group.places)
+    proj = lambda x: [c % 5 for c in project_to_s_class_group(T.group, scl_T, psi_sel(ctx, x))]
     rows = [proj(x) for x in sel.basis_elements()]
     assert fp_rank(rows, 5) == 1          # surjects onto Cl_S[5], dim 1
     km = KummerMap(ctx)

@@ -304,7 +304,9 @@ def test_p_must_be_an_odd_prime(capsys):
 
 
 def test_pipeline_never_imports_sympy():
-    # sympy is a test oracle only; a function-local import would show here too
+    # sympy is a test oracle only; a function-local import would show here
+    # too. The records are plain classes, so dataclasses and the inspect
+    # module that it pulls in stay out of a CLI process as well
     runs = [["report", *ARGS_11A_47],
             ["pairing", *ARGS_158C, "--point", "13,-15", "--point", "13,-15"]]
     proc = _python("-c", "import contextlib, io, sys\n"
@@ -312,7 +314,8 @@ def test_pipeline_never_imports_sympy():
                          f"for argv in {runs!r}:\n"
                          "    with contextlib.redirect_stdout(io.StringIO()):\n"
                          "        assert main(argv) == 0, argv\n"
-                         "assert 'sympy' not in sys.modules\n")
+                         "for mod in ('sympy', 'dataclasses', 'inspect'):\n"
+                         "    assert mod not in sys.modules, mod\n")
     assert proc.returncode == 0, proc.stderr
 
 

@@ -436,7 +436,9 @@ def test_descent_report_sqrt_2_kernel_of_psi():
     assert rep.psi_rank == 1 and rep.kappa_rank == 2
     # ker psi on E'(K)/phi E(K) is generated by the image of Q
     assert rep.ker_psi_dim == 1
-    assert rep.sha_phi.upper == 0
+    assert rep.sel.dim == 2 and rep.ker_psi_sel_dim == 1
+    # the lower bound subtracts ker psi: max(0, 2 - 1 - (2 - 1)) = 0
+    assert rep.sha_phi.lower == 0 and rep.sha_phi.upper == 0
 
 
 def test_kernel_points_are_the_multiples_of_P():

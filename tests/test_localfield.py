@@ -5,6 +5,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import logdescent
 from logdescent.linalg import fp_rank
@@ -126,6 +128,27 @@ def test_log_coords_at_an_inert_prime_above_p(m, p):
         assert g.coords(x * y) == tuple((a + b) % p for a, b in zip(cx, cy))
     # additive and of rank 2, so onto F_p^2
     assert fp_rank([list(c) for c in coords], p) == 2
+
+
+_RAMIFIED = [(m, p, primes_above(make_field(m), p)[0])
+             for m, p in ((5, 5), (10, 5), (-5, 5), (7, 7), (-7, 7), (14, 7))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_RAMIFIED), st.lists(st.integers(-10 ** 4, 10 ** 4), min_size=4, max_size=4),
+       st.integers(1, 10 ** 3), st.integers(1, 10 ** 3))
+def test_log_coords_are_additive_at_a_ramified_prime_above_p(case, ab, d1, d2):
+    # e = 2 < p - 1, so the truncated logarithm reaches its k = 2 term, whose
+    # sign the coordinates of a product depend on
+    m, p, pr = case
+    assert pr.kind == "ramified"
+    K = pr.field
+    x, y = K.from_omega(*ab[:2]) / d1, K.from_omega(*ab[2:]) / d2
+    assume(pr.val(x) == 0 and pr.val(y) == 0)
+    g = LocalUnitGroup(pr, p)
+    assert g.dim == 2
+    cx, cy = g.coords(x), g.coords(y)
+    assert g.coords(x * y) == tuple((a + b) % p for a, b in zip(cx, cy))
 
 
 def test_wild_ramified_p3():

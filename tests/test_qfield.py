@@ -20,6 +20,8 @@ from logdescent.qfield import (
     reduce_mod,
 )
 
+from oracles import omega_coords
+
 
 def test_make_field_discs():
     assert make_field(None).disc == 1
@@ -153,6 +155,23 @@ def test_prime_divisors_when_the_norm_cancels():
         assert set(fac) <= set(small)
         for pr in small:
             assert pr.val(x) == fac.get(pr, 0)
+
+
+@pytest.mark.parametrize("d, ell, kinds", [(-47, 2, ["split", "split"]), (-47, 5, ["inert"]),
+                                          (-47, 47, ["ramified"]), (5, 5, ["ramified"]),
+                                          (None, 11, ["rational"])])
+def test_prime_ideal_equality_and_hash(d, ell, kinds):
+    prs = primes_above(make_field(d), ell)
+    assert [pr.kind for pr in prs] == kinds
+    # built again, over a field object built again, each equals the first
+    again = primes_above(make_field(d), ell)
+    assert again[0].field is not prs[0].field
+    assert prs == again and len(set(prs + again)) == len(prs)
+    for pr in prs:
+        key = (pr.field, pr.ell, pr.kind, pr.wbar)
+        assert hash(pr) == hash(key) and pr != key
+        assert pr.conjugate().conjugate() == pr
+        assert (pr.conjugate() == pr) == (pr.kind != "split")
 
 
 def test_uniformizers():
@@ -503,7 +522,7 @@ def test_field_element_matches_fraction_pairs(D, a1, b1, a2, b2, k, q, n):
         assert z.trace() == 2 * a
         assert z.integer_coords() == _ref_integer_coords(K, (a, b))
         ca, cb = (a - b, 2 * b) if K.disc % 4 == 1 else (a, b)
-        assert z.omega_coords() == (ca, cb)
+        assert omega_coords(z) == (ca, cb)
         assert bool(z) == (a != 0 or b != 0)
         # equality against ints, Fractions and elements built another way
         assert (z == a) == (b == 0)
